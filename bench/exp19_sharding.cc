@@ -69,6 +69,10 @@ ShardSet<2>::Options SetOptions(uint32_t shards, uint32_t latency_us) {
   options.service.num_workers = kWorkersPerShard;
   options.service.frames_per_worker = kFramesPerWorker;
   options.service.simulated_read_latency_us = latency_us;
+  // Parts (a) and (b) price the paged, I/O-bound regime (EXPERIMENTS.md
+  // note 10); the resident tier would answer from memory and skip every
+  // simulated read.
+  options.service.resident_tier = false;
   return options;
 }
 

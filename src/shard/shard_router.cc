@@ -41,6 +41,9 @@ ShardRouter<D>::ShardRouter(ShardSet<D>* shards, const Options& options)
       trace_log_(obs::DistTraceLog::Options{options.slow_log_capacity,
                                             options.sampled_log_capacity,
                                             options.slow_threshold_ns}) {
+  for (uint32_t s = 0; s < shards_->num_shards(); ++s) {
+    all_shards_.push_back(s);
+  }
   RegisterMetrics();
 }
 
@@ -57,6 +60,9 @@ void ShardRouter<D>::RegisterMetrics() {
   traces_assembled_ = metrics_.AddCounter(
       "spatial_router_traces_assembled_total",
       "Sampled cross-shard traces assembled from per-shard trace records");
+  shards_pruned_ = metrics_.AddCounter(
+      "spatial_router_shards_pruned_total",
+      "kNN shard visits skipped by the extent test");
   merge_ns_ = metrics_.AddHistogram(
       "spatial_router_merge_ns",
       "Scatter-gather wall time per request (submit to merged answer)");
@@ -198,38 +204,93 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
     scattered.trace_sampled = true;
   }
 
+  // Submits `scattered` to `count` shards at once, then gathers their
+  // answers in submit order. Every round of every kind goes through here.
+  std::vector<ShardAnswer> answers;
+  answers.reserve(n);
   std::vector<std::future<QueryResponse<D>>> futures;
   futures.reserve(n);
-  for (uint32_t s = 0; s < n; ++s) {
-    futures.push_back(shards_->shard(s).Submit(scattered));
-  }
-
-  uint64_t completed_ns[obs::kMaxTraceShards] = {};
-  std::vector<QueryResponse<D>> answers;
-  answers.reserve(n);
-  for (uint32_t s = 0; s < n; ++s) {
-    answers.push_back(futures[s].get());
-    if (sampled && s < obs::kMaxTraceShards) {
-      completed_ns[s] = ElapsedNs(start);
+  auto run_round = [&](const uint32_t* shard_ids, size_t count,
+                       uint32_t round) {
+    futures.clear();
+    for (size_t i = 0; i < count; ++i) {
+      futures.push_back(shards_->shard(shard_ids[i]).Submit(scattered));
     }
+    for (size_t i = 0; i < count; ++i) {
+      answers.push_back(
+          ShardAnswer{shard_ids[i], round, 0, futures[i].get()});
+      if (sampled) answers.back().completed_ns = ElapsedNs(start);
+    }
+  };
+
+  if (request.kind == QueryKind::kKnn) {
+    // The paper's ordered depth-first search at the root of the
+    // distributed tree: the shards are the root's branches and their
+    // extents the branch MBRs. Sort the non-empty shards by MINDIST
+    // (ties to the lower index) and run the nearest alone.
+    const std::vector<Rect<D>> extents = shards_->extents();
+    std::vector<std::pair<double, uint32_t>> branches;
+    branches.reserve(n);
+    for (uint32_t s = 0; s < n; ++s) {
+      if (extents[s].IsEmpty()) continue;
+      branches.emplace_back(MinDistSq<D>(request.query, extents[s]), s);
+    }
+    std::sort(branches.begin(), branches.end());
+    // Every shard empty: shard 0 still validates the request and answers.
+    if (branches.empty()) branches.emplace_back(0.0, 0);
+    run_round(&branches[0].second, 1, 0);
+
+    const QueryResponse<D>& first = answers[0].response;
+    if (first.status.ok()) {
+      // S3 on extents: a shard whose extent lies strictly beyond the
+      // first shard's k-th distance (or max_distance) holds no object the
+      // merge would keep. At equality the shard still runs: it may hold an
+      // object tied with the k-th whose lower id wins the merge.
+      const double max_distance = request.knn.max_distance;
+      double limit_sq = max_distance * max_distance;
+      if (!first.neighbors.empty() &&
+          first.neighbors.size() >= request.knn.k) {
+        limit_sq = std::min(limit_sq, first.neighbors.back().dist_sq);
+      }
+      std::vector<uint32_t> second_round;
+      for (size_t i = 1; i < branches.size(); ++i) {
+        if (branches[i].first <= limit_sq) {
+          second_round.push_back(branches[i].second);
+        }
+      }
+      shards_pruned_->Add(n - 1 - second_round.size());
+      if (!second_round.empty()) {
+        run_round(second_round.data(), second_round.size(), 1);
+        // Spans, status and merge see the shards in index order.
+        std::sort(answers.begin(), answers.end(),
+                  [](const ShardAnswer& x, const ShardAnswer& y) {
+                    return x.shard < y.shard;
+                  });
+      }
+    }
+  } else {
+    run_round(all_shards_.data(), n, 0);
   }
   const uint64_t scatter_ns = ElapsedNs(start);
 
   QueryResponse<D> merged;
-  for (const auto& a : answers) {
-    if (!a.status.ok() && merged.status.ok()) merged.status = a.status;
-    merged.stats.Add(a.stats);
-    // The scatter runs shards concurrently: the round trip's critical path
-    // is the slowest shard, so that is the latency we report.
-    merged.latency_ns = std::max(merged.latency_ns, a.latency_ns);
+  // Shards within a round run concurrently, so each round costs its
+  // slowest shard; the kKnn second round starts after the first.
+  uint64_t round_ns[2] = {0, 0};
+  for (const ShardAnswer& a : answers) {
+    if (!a.response.status.ok() && merged.status.ok()) {
+      merged.status = a.response.status;
+    }
+    merged.stats.Add(a.response.stats);
+    round_ns[a.round] = std::max(round_ns[a.round], a.response.latency_ns);
   }
+  merged.latency_ns = round_ns[0] + round_ns[1];
   if (!merged.status.ok()) {
     const uint64_t total_ns = ElapsedNs(start);
     merge_ns_->Record(total_ns);
     if (sampled || total_ns >= trace_log_.slow_threshold_ns()) {
       RecordScatterTrace(request, sampled, trace_id, root_span_id, answers,
-                         sampled ? completed_ns : nullptr, scatter_ns,
-                         total_ns, merged.stats);
+                         scatter_ns, total_ns, merged.stats);
     }
     return merged;
   }
@@ -241,9 +302,10 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
     case QueryKind::kApproxKnn: {
       const uint32_t k = request.kind == QueryKind::kTopK ? request.top_k
                                                           : request.knn.k;
-      for (const auto& a : answers) {
-        merged.neighbors.insert(merged.neighbors.end(), a.neighbors.begin(),
-                                a.neighbors.end());
+      for (const ShardAnswer& a : answers) {
+        merged.neighbors.insert(merged.neighbors.end(),
+                                a.response.neighbors.begin(),
+                                a.response.neighbors.end());
       }
       std::sort(merged.neighbors.begin(), merged.neighbors.end(),
                 NeighborLess);
@@ -254,9 +316,10 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
       // A single tree reports range hits in traversal order, which is a
       // tree-shape artifact; the router normalizes to ascending object id
       // so the merged answer is a pure function of the dataset.
-      for (const auto& a : answers) {
-        merged.entries.insert(merged.entries.end(), a.entries.begin(),
-                              a.entries.end());
+      for (const ShardAnswer& a : answers) {
+        merged.entries.insert(merged.entries.end(),
+                              a.response.entries.begin(),
+                              a.response.entries.end());
       }
       std::sort(merged.entries.begin(), merged.entries.end(),
                 [](const Entry<D>& x, const Entry<D>& y) {
@@ -272,11 +335,12 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
       merged.batch_offsets.push_back(0);
       for (size_t q = 0; q < num_queries; ++q) {
         scratch.clear();
-        for (const auto& a : answers) {
-          const uint32_t lo = a.batch_offsets[q];
-          const uint32_t hi = a.batch_offsets[q + 1];
-          scratch.insert(scratch.end(), a.neighbors.begin() + lo,
-                         a.neighbors.begin() + hi);
+        for (const ShardAnswer& a : answers) {
+          const QueryResponse<D>& r = a.response;
+          const uint32_t lo = r.batch_offsets[q];
+          const uint32_t hi = r.batch_offsets[q + 1];
+          scratch.insert(scratch.end(), r.neighbors.begin() + lo,
+                         r.neighbors.begin() + hi);
         }
         std::sort(scratch.begin(), scratch.end(), NeighborLess);
         if (scratch.size() > k) scratch.resize(k);
@@ -296,8 +360,9 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
       // bit-identical to the kernels the shards browsed with, so the
       // merged answer matches a single whole-dataset tree byte for byte.
       std::vector<Entry<D>> pool;
-      for (const auto& a : answers) {
-        pool.insert(pool.end(), a.entries.begin(), a.entries.end());
+      for (const ShardAnswer& a : answers) {
+        pool.insert(pool.end(), a.response.entries.begin(),
+                    a.response.entries.end());
       }
       const size_t m = request.batch_queries.size();
       const Point<D>* sources = request.batch_queries.data();
@@ -341,24 +406,22 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
   merge_ns_->Record(total_ns);
   if (sampled || total_ns >= trace_log_.slow_threshold_ns()) {
     RecordScatterTrace(request, sampled, trace_id, root_span_id, answers,
-                       sampled ? completed_ns : nullptr, scatter_ns, total_ns,
-                       merged.stats);
+                       scatter_ns, total_ns, merged.stats);
   }
   return merged;
 }
 
-// Assembles the root spans, one ShardSpan per answer, the slowest-shard
-// queue wait, and the straggler shard into a RouterTraceRecord, then
-// offers it to the trace log (slow ring or sampled reservoir — the log
-// routes by total_ns). For unsampled slow captures `completed_ns` is null
-// and the per-shard detail degrades to what every answer carries anyway
-// (execute time + merged stats).
+// Assembles the root spans, one ShardSpan per visited shard, the
+// slowest-shard queue wait, and the straggler shard into a
+// RouterTraceRecord, then offers it to the trace log (slow ring or sampled
+// reservoir — the log routes by total_ns). For unsampled slow captures
+// the completion clocks are zero and the per-shard detail degrades to
+// what every answer carries anyway (execute time + merged stats).
 template <int D>
 void ShardRouter<D>::RecordScatterTrace(
     const QueryRequest<D>& request, bool sampled, uint64_t trace_id,
-    uint64_t root_span_id, const std::vector<QueryResponse<D>>& answers,
-    const uint64_t* completed_ns, uint64_t scatter_ns, uint64_t total_ns,
-    const QueryStats& merged_stats) {
+    uint64_t root_span_id, const std::vector<ShardAnswer>& answers,
+    uint64_t scatter_ns, uint64_t total_ns, const QueryStats& merged_stats) {
   obs::RouterTraceRecord rec;
   rec.trace_id = trace_id;
   rec.root_span_id = root_span_id;
@@ -372,13 +435,13 @@ void ShardRouter<D>::RecordScatterTrace(
   rec.merged_stats = merged_stats;
 
   uint64_t worst = 0;
-  for (uint32_t s = 0; s < rec.captured_shards(); ++s) {
-    obs::ShardSpan& span = rec.shards[s];
-    const QueryResponse<D>& a = answers[s];
-    span.shard = s;
+  for (uint32_t i = 0; i < rec.captured_shards(); ++i) {
+    obs::ShardSpan& span = rec.shards[i];
+    const QueryResponse<D>& a = answers[i].response;
+    span.shard = answers[i].shard;
     span.execute_ns = a.latency_ns;
     span.stats = a.stats;
-    if (completed_ns != nullptr) span.rpc_ns = completed_ns[s];
+    span.rpc_ns = answers[i].completed_ns;
     if (a.has_trace) {
       span.traced = true;
       span.worker = a.trace.worker;
@@ -394,7 +457,7 @@ void ShardRouter<D>::RecordScatterTrace(
         span.rpc_ns != 0 ? span.rpc_ns : span.queue_wait_ns + span.execute_ns;
     if (cost > worst) {
       worst = cost;
-      rec.straggler = s;
+      rec.straggler = span.shard;
     }
   }
   if (sampled) traces_assembled_->Inc();
@@ -515,21 +578,22 @@ QueryResponse<D> ShardRouter<D>::RouteReverseKnn(
 template <int D>
 QueryResponse<D> ShardRouter<D>::RouteInsert(const QueryRequest<D>& request) {
   const auto start = std::chrono::steady_clock::now();
-  // Nearest initial tile by MINDIST, ties (e.g. the MBR overlaps several
-  // tiles at distance 0) to the lowest index. Empty tiles — shards that
-  // received no objects at build time — still win when every tile is
-  // empty; then shard 0 takes the insert.
+  // Nearest extent by MINDIST, ties (e.g. the MBR overlaps several extents
+  // at distance 0) to the lowest index; shard 0 when every extent is
+  // empty. The target's extent grows to cover the MBR before the insert is
+  // submitted, so every kNN issued after the ack prunes against it.
+  const std::vector<Rect<D>> extents = shards_->extents();
   uint32_t target = 0;
   double best = std::numeric_limits<double>::infinity();
   for (uint32_t s = 0; s < shards_->num_shards(); ++s) {
-    const Rect<D>& tile = shards_->tile(s);
-    if (tile.IsEmpty()) continue;
-    const double d = MinDistSq<D>(tile, request.window);
+    if (extents[s].IsEmpty()) continue;
+    const double d = MinDistSq<D>(extents[s], request.window);
     if (d < best) {
       best = d;
       target = s;
     }
   }
+  shards_->GrowExtent(target, request.window);
   QueryResponse<D> response = shards_->shard(target).Execute(request);
   merge_ns_->Record(ElapsedNs(start));
   return response;

@@ -21,11 +21,23 @@ namespace spatial {
 // (modulo distance ties at the k-th position — see docs/SHARDING.md).
 //
 // Routing:
-//   * kKnn / kConstrainedKnn / kTopK / kBatchKnn / kApproxKnn — scatter to
-//     all shards, merge by (dist_sq, id) truncated to k (per query for the
-//     batch kind). The approximate merge keeps the epsilon contract: the
-//     merged k-th distance never exceeds any shard's local k-th, and every
-//     shard's answers individually satisfy r <= (1+eps) * t.
+//   * kKnn — the paper's ordered depth-first search applied at the root of
+//     the distributed tree, whose branches are the shards and whose branch
+//     MBRs are the shard extents (ShardSet::extents()). The non-empty
+//     shards are sorted by MINDIST from the query to their extent (ties to
+//     the lower index) and the nearest runs alone. Then only the shards
+//     whose extent MINDIST^2 <= min(max_distance^2, the first shard's k-th
+//     dist^2 when it returned k neighbors) run, in parallel — the rest are
+//     pruned by S3. The boundary is not strict, so a shard holding an
+//     object tied with the k-th distance still runs and the (dist_sq, id)
+//     merge picks the same winner as a full scatter. latency_ns is the
+//     first shard's plus the slowest second-round shard's.
+//   * kConstrainedKnn / kTopK / kBatchKnn / kApproxKnn — scatter to all
+//     shards. Every kNN-shaped answer merges by (dist_sq, id) truncated to
+//     k (per query for the batch kind). The approximate merge keeps the
+//     epsilon contract: the merged k-th distance never exceeds any shard's
+//     local k-th, and every shard's answers individually satisfy
+//     r <= (1+eps) * t.
 //   * kRange — scatter, merge by object id.
 //   * kNnSkyline — scatter, union the per-shard skylines, re-apply the
 //     dominance filter over the union (the global skyline is a subset of
@@ -35,9 +47,11 @@ namespace spatial {
 //     candidates only (rknn_candidates_only), the router re-runs the
 //     sector selection over the union, then verifies each survivor with
 //     an exact cross-shard (k+1)-NN — verification must consult the
-//     *global* dataset, which no single shard holds.
-//   * kInsert — route to the single shard whose initial tile is nearest
-//     the new MBR (MINDIST, ties to the lowest shard index).
+//     *global* dataset, which no single shard holds. The verification
+//     probes are kKnn requests and take the kKnn route above.
+//   * kInsert — route to the single shard whose extent is nearest the new
+//     MBR (MINDIST, ties to the lowest shard index), after growing that
+//     extent to cover the MBR.
 //   * kDelete / kCheckpoint — broadcast (a delete must reach whichever
 //     shard holds the object; `affected` sums over shards).
 //
@@ -46,10 +60,11 @@ namespace spatial {
 // scattered copy's KnnOptions. Each shard publishes its local k-th
 // distance as soon as its buffer fills and prunes against the tightest
 // bound any shard has found, so laggard shards skip subtrees the global
-// answer has already beaten. Published bounds are always exact (unrelaxed)
-// local k-th distances, so the merged answer is unchanged for kKnn and the
-// epsilon contract is preserved for kApproxKnn; E19 measures the pages
-// saved.
+// answer has already beaten — for kKnn, the second-round shards start
+// from the first shard's k-th distance. Published bounds are always exact
+// (unrelaxed) local k-th distances, so the merged answer is unchanged for
+// kKnn and the epsilon contract is preserved for kApproxKnn; E19 measures
+// the pages saved.
 //
 // Distributed tracing (docs/OBSERVABILITY.md "Distributed traces"): the
 // router is the root of a trace. A scatter-family request is traced when
@@ -59,16 +74,18 @@ namespace spatial {
 // context into every scattered copy, each shard force-samples and returns
 // its QueryTraceRecord in the response, and the router assembles one
 // RouterTraceRecord — root spans (queue, scatter, merge), one ShardSpan
-// per shard with the network-vs-execute split, and the straggler shard —
-// into its DistTraceLog. Requests whose scatter-gather round trip crosses
+// per visited shard (labelled with its shard index, ascending) with the
+// network-vs-execute split, and the straggler shard — into its
+// DistTraceLog. Requests whose scatter-gather round trip crosses
 // the slow threshold are captured in the same log even when unsampled
 // (without the per-shard queue-wait / per-level detail only a sampled
 // round trip carries).
 //
 // Thread-safe: Execute() may be called from any number of threads (the
 // RPC server's connection threads do exactly that); all shared state is
-// the shards' own MPMC queues, the router's lock-free instruments, and
-// the trace log's preallocated mutexed ring.
+// the shards' own MPMC queues, the set's mutexed extent table, the
+// router's lock-free instruments, and the trace log's preallocated
+// mutexed ring.
 template <int D>
 class ShardRouter {
  public:
@@ -108,21 +125,31 @@ class ShardRouter {
   const obs::DistTraceLog& trace_log() const { return trace_log_; }
 
  private:
+  // One visited shard's answer within a scatter round trip.
+  struct ShardAnswer {
+    uint32_t shard = 0;
+    uint32_t round = 0;  // 1 for the kKnn second round, else 0
+    // Request start → answer observed at the router (sampled requests
+    // only, else 0).
+    uint64_t completed_ns = 0;
+    QueryResponse<D> response;
+  };
+
   QueryResponse<D> ScatterQuery(const QueryRequest<D>& request);
   QueryResponse<D> RouteReverseKnn(const QueryRequest<D>& request);
   QueryResponse<D> RouteInsert(const QueryRequest<D>& request);
   QueryResponse<D> Broadcast(const QueryRequest<D>& request);
   void RegisterMetrics();
-  // Builds and records the RouterTraceRecord for one scatter round trip.
-  // `completed_ns` holds per-shard router-observed completion times
-  // (null when the request was not sampled).
+  // Builds and records the RouterTraceRecord for one scatter round trip
+  // over the visited shards' answers (ascending shard index).
   void RecordScatterTrace(const QueryRequest<D>& request, bool sampled,
                           uint64_t trace_id, uint64_t root_span_id,
-                          const std::vector<QueryResponse<D>>& answers,
-                          const uint64_t* completed_ns, uint64_t scatter_ns,
-                          uint64_t total_ns, const QueryStats& merged_stats);
+                          const std::vector<ShardAnswer>& answers,
+                          uint64_t scatter_ns, uint64_t total_ns,
+                          const QueryStats& merged_stats);
 
   ShardSet<D>* shards_;
+  std::vector<uint32_t> all_shards_;  // 0..n-1: a full scatter's plan
   Options options_;
   obs::MetricsRegistry metrics_;
   obs::DistTraceLog trace_log_;
@@ -133,6 +160,7 @@ class ShardRouter {
   obs::Counter* rknn_candidates_;     // survivors of the global re-selection
   obs::Counter* rknn_verify_rounds_;  // cross-shard verification kNNs issued
   obs::Counter* traces_assembled_;    // sampled cross-shard traces built
+  obs::Counter* shards_pruned_;       // kKnn shard visits skipped
   obs::PowerHistogram* merge_ns_;
 };
 

@@ -23,7 +23,7 @@ Result<std::unique_ptr<ShardSet<D>>> ShardSet<D>::Build(
       PartitionStr<D>(std::move(items), options.num_shards));
 
   std::unique_ptr<ShardSet> set(new ShardSet(options));
-  set->tiles_ = std::move(partition.tiles);
+  set->extents_ = std::move(partition.tiles);
   set->sizes_.reserve(options.num_shards);
   for (const auto& shard : partition.shards) {
     set->sizes_.push_back(shard.size());
@@ -75,6 +75,18 @@ Result<std::unique_ptr<ShardSet<D>>> ShardSet<D>::Build(
   }
 
   return set;
+}
+
+template <int D>
+std::vector<Rect<D>> ShardSet<D>::extents() const {
+  std::lock_guard<std::mutex> lock(extents_mu_);
+  return extents_;
+}
+
+template <int D>
+void ShardSet<D>::GrowExtent(uint32_t i, const Rect<D>& mbr) {
+  std::lock_guard<std::mutex> lock(extents_mu_);
+  extents_[i].ExpandToInclude(mbr);
 }
 
 template class ShardSet<2>;

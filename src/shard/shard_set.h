@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -31,8 +32,11 @@ namespace spatial {
 //
 // Shards are fully independent — separate disks, buffer pools, worker
 // pools, WALs — so there is no cross-shard coordination at all below the
-// router; the only shared state during a query is the optional prune bound
-// the router threads through KnnOptions (core/shared_bound.h).
+// router. Above them the set keeps one extent per shard (see extents()),
+// which every router over the set reads to route inserts and prune kNN
+// shard visits; the only shared state during a query is that extent table
+// and the optional prune bound the router threads through KnnOptions
+// (core/shared_bound.h).
 template <int D>
 class ShardSet {
  public:
@@ -75,11 +79,21 @@ class ShardSet {
   QueryService<D>& shard(uint32_t i) { return *services_[i]; }
   const QueryService<D>& shard(uint32_t i) const { return *services_[i]; }
 
-  // Bounding rectangle of shard i's initial tile (Rect::Empty() if the
-  // shard received no objects). Inserts are routed by MINDIST against
-  // these; the tiles are not updated by later inserts, which only affects
-  // routing quality, never correctness (deletes broadcast).
-  const Rect<D>& tile(uint32_t i) const { return tiles_[i]; }
+  // Every shard's extent: a rectangle containing every object the shard
+  // has held since Build(). It starts as the shard's partition tile
+  // (Rect::Empty() if the shard received no objects) and never shrinks —
+  // the router grows it with GrowExtent() before it submits an insert, and
+  // deletes leave it alone. The router routes inserts and prunes kNN shard
+  // visits against the same rectangles, and every router over the set
+  // shares them, so a kNN issued after an insert's ack sees the grown
+  // extent. An extent wider than its shard's data costs pruning, never
+  // correctness; an insert submitted to shard(i) directly, bypassing the
+  // router, does not grow it and may be missed by routed kNN. Returns a
+  // snapshot taken under one lock.
+  std::vector<Rect<D>> extents() const;
+
+  // Widens shard i's extent to cover `mbr`.
+  void GrowExtent(uint32_t i, const Rect<D>& mbr);
 
   // Objects initially loaded into shard i.
   uint64_t shard_size(uint32_t i) const { return sizes_[i]; }
@@ -90,7 +104,8 @@ class ShardSet {
   explicit ShardSet(const Options& options) : options_(options) {}
 
   Options options_;
-  std::vector<Rect<D>> tiles_;
+  mutable std::mutex extents_mu_;
+  std::vector<Rect<D>> extents_;  // guarded by extents_mu_
   std::vector<uint64_t> sizes_;
   // Memory backend only: the databases the services attach to. Declared
   // before services_ so every service shuts down before its database dies.

@@ -40,6 +40,14 @@ std::vector<Entry<2>> MakeData(size_t n, uint64_t seed = 77) {
   return MakePointEntries(GenerateUniform<2>(n, UnitBounds<2>(), &rng));
 }
 
+// 1200 objects over 4 shards: 300 per shard.
+constexpr size_t kObjects = 1200;
+
+// A kNN needing more neighbors than any shard of the 4-shard fixture holds:
+// no shard returns k neighbors, so the router prunes no extent and the
+// request provably visits every shard.
+constexpr uint32_t kFullFanOutK = kObjects / 4 + 1;
+
 struct Fixture {
   explicit Fixture(const ShardRouter<2>::Options& router_options = {},
                    uint32_t num_shards = 4) {
@@ -49,7 +57,7 @@ struct Fixture {
     options.buffer_pages = 64;
     options.service.num_workers = 2;
     options.service.frames_per_worker = 32;
-    auto built = ShardSet<2>::Build(MakeData(1200), options);
+    auto built = ShardSet<2>::Build(MakeData(kObjects), options);
     EXPECT_TRUE(built.ok()) << built.status().ToString();
     set = std::move(*built);
     router = std::make_unique<ShardRouter<2>>(set.get(), router_options);
@@ -75,13 +83,13 @@ TEST(DistributedTraceTest, SampledKnnOverRpcAssemblesOneTrace) {
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   // An externally sampled trace context, as a remote caller would stamp.
-  QueryRequest<2> request = QueryRequest<2>::Knn({{0.41, 0.57}}, 9);
+  QueryRequest<2> request = QueryRequest<2>::Knn({{0.41, 0.57}}, kFullFanOutK);
   request.trace_id = 0xABCDEF0123456789ULL;
   request.trace_sampled = true;
   auto response = (*client)->Call(request);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   ASSERT_TRUE(response->status.ok());
-  ASSERT_EQ(response->neighbors.size(), 9u);
+  ASSERT_EQ(response->neighbors.size(), kFullFanOutK);
 
   // The router recorded exactly one assembled trace before replying.
   const obs::DistTraceLog& log = fx.router->trace_log();
@@ -96,7 +104,7 @@ TEST(DistributedTraceTest, SampledKnnOverRpcAssemblesOneTrace) {
   EXPECT_EQ(rec.trace_id, request.trace_id);
   EXPECT_NE(rec.root_span_id, 0u);
   EXPECT_STREQ(rec.kind_name, "knn");
-  EXPECT_EQ(rec.k, 9u);
+  EXPECT_EQ(rec.k, kFullFanOutK);
   EXPECT_EQ(rec.num_shards, 4u);
   EXPECT_LT(rec.straggler, 4u);
   EXPECT_EQ(rec.total_ns, rec.scatter_ns + rec.merge_ns);
@@ -137,6 +145,40 @@ TEST(DistributedTraceTest, SampledKnnOverRpcAssemblesOneTrace) {
   EXPECT_NE(json.find("\"shards\":["), std::string::npos);
 }
 
+TEST(DistributedTraceTest, InteriorKnnTracesOnlyItsShard) {
+  ShardRouter<2>::Options options;
+  options.trace_sample_per_million = 1'000'000;  // trace everything
+  Fixture fx(options);
+
+  // A k=1 query at the centre of the last shard's extent: its nearest
+  // neighbor lies far closer than any other extent, so the router visits
+  // that shard alone and the one span carries its real index, not its
+  // position in the trace.
+  const uint32_t last = fx.set->num_shards() - 1;
+  const Point2 q = fx.set->extents()[last].Center();
+  const QueryResponse<2> response =
+      fx.router->Execute(QueryRequest<2>::Knn(q, 1));
+  ASSERT_TRUE(response.status.ok());
+  ASSERT_EQ(response.neighbors.size(), 1u);
+
+  std::vector<obs::RouterTraceRecord> entries =
+      fx.router->trace_log().SampledEntries();
+  if (entries.empty()) entries = fx.router->trace_log().SlowEntries();
+  ASSERT_EQ(entries.size(), 1u);
+  const obs::RouterTraceRecord& rec = entries[0];
+  EXPECT_EQ(rec.num_shards, 1u);
+  EXPECT_EQ(rec.shards[0].shard, last);
+  EXPECT_EQ(rec.straggler, last);
+  EXPECT_TRUE(rec.shards[0].traced);
+  EXPECT_EQ(rec.shards[0].stats.nodes_visited,
+            response.stats.nodes_visited);
+
+  const std::string scrape = fx.router->ScrapeMetrics();
+  EXPECT_NE(scrape.find("spatial_router_shards_pruned_total " +
+                        std::to_string(fx.set->num_shards() - 1)),
+            std::string::npos);
+}
+
 TEST(DistributedTraceTest, RouterOwnSamplingMintsTraceIds) {
   ShardRouter<2>::Options options;
   options.trace_sample_per_million = 1'000'000;  // trace everything
@@ -164,8 +206,9 @@ TEST(DistributedTraceTest, SlowRoundTripsCaptureWithoutSampling) {
   options.slow_threshold_ns = 0;  // every round trip is "slow"
   Fixture fx(options);
 
-  ASSERT_TRUE(
-      fx.router->Execute(QueryRequest<2>::Knn({{0.6, 0.2}}, 3)).status.ok());
+  ASSERT_TRUE(fx.router->Execute(QueryRequest<2>::Knn({{0.6, 0.2}},
+                                                      kFullFanOutK))
+                  .status.ok());
 
   const obs::DistTraceLog& log = fx.router->trace_log();
   ASSERT_EQ(log.slow_captured(), 1u);

@@ -2,7 +2,9 @@
 // router's merged answers must be byte-identical (memcmp) to the same
 // query against one tree holding the whole dataset. Also covers write
 // routing (insert to one shard, delete broadcast) through the serving
-// backend, and that bound streaming never changes an answer.
+// backend, that bound streaming never changes an answer, and the kNN
+// routing rule: nearest extent first, other shards pruned by S3 on their
+// extents with a non-strict boundary, extents grown by inserts.
 
 #include "shard/shard_router.h"
 
@@ -20,6 +22,7 @@
 #include "data/dataset.h"
 #include "data/uniform.h"
 #include "db/spatial_db.h"
+#include "geom/metrics.h"
 #include "tests/test_util.h"
 
 namespace spatial {
@@ -238,6 +241,157 @@ TEST(ShardRouterTest, ServingBackendRoutesWrites) {
   // Checkpoint broadcasts to every shard.
   QueryResponse<2> ckpt = router.Execute(QueryRequest<2>::Checkpoint());
   EXPECT_TRUE(ckpt.ok()) << ckpt.status.ToString();
+}
+
+// The exact answer over `data` in the router's (dist_sq, id) order.
+std::vector<Neighbor> BruteForceKnn(const std::vector<Entry<2>>& data,
+                                    const Point2& q, uint32_t k) {
+  std::vector<Neighbor> all;
+  all.reserve(data.size());
+  for (const Entry<2>& e : data) {
+    all.push_back(Neighbor{e.id, ObjectDistSq<2>(q, e.mbr)});
+  }
+  all = Normalized(std::move(all));
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+// kKnn requests each shard has executed so far.
+std::vector<uint64_t> KnnCounts(ShardSet<2>& set) {
+  std::vector<uint64_t> counts;
+  for (uint32_t s = 0; s < set.num_shards(); ++s) {
+    counts.push_back(set.shard(s).KindQueryCount(QueryKind::kKnn));
+  }
+  return counts;
+}
+
+TEST(ShardRouterTest, InteriorKnnRunsOnOneShard) {
+  const auto data = MakeData(3000);
+  auto reference = MakeReference(data);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  auto set = ShardSet<2>::Build(data, SetOptions(4, false, ""));
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ShardRouter<2> router(set->get());
+
+  // A k=1 query at the centre of a shard's extent: its nearest neighbor is
+  // much closer than any other extent, so exactly that shard runs.
+  const std::vector<Rect<2>> extents = (*set)->extents();
+  for (uint32_t target = 0; target < extents.size(); ++target) {
+    SCOPED_TRACE("target shard " + std::to_string(target));
+    const Point2 q = extents[target].Center();
+    const std::vector<uint64_t> before = KnnCounts(**set);
+    QueryResponse<2> got = router.Execute(QueryRequest<2>::Knn(q, 1));
+    ASSERT_TRUE(got.ok()) << got.status.ToString();
+    const std::vector<uint64_t> after = KnnCounts(**set);
+    for (uint32_t s = 0; s < extents.size(); ++s) {
+      EXPECT_EQ(after[s] - before[s], s == target ? 1u : 0u) << "shard " << s;
+    }
+
+    KnnOptions knn;
+    knn.k = 1;
+    auto want = KnnSearch<2>(reference->tree(), q, knn, nullptr);
+    ASSERT_TRUE(want.ok());
+    ExpectByteIdentical(got.neighbors, Normalized(*want));
+  }
+  EXPECT_NE(router.ScrapeMetrics().find("spatial_router_shards_pruned_total " +
+                                        std::to_string(3 * extents.size())),
+            std::string::npos);
+}
+
+TEST(ShardRouterTest, TiedExtentAtKthDistanceStillRuns) {
+  // Two shards: a left half with x in [0, 0.25] and a right half with x in
+  // [0.75, 1], so the query (0.5, 0.5) is at MINDIST 0.25 from both
+  // extents. Each holds an object at exactly that distance; the lower id
+  // sits in shard 1, which runs second. The shard-0 answer's k-th distance
+  // equals shard 1's extent MINDIST, and the shard must still run for the
+  // (dist_sq, id) merge to return the lower id, as a full scatter does.
+  constexpr uint64_t kLeftTied = 1000;
+  constexpr uint64_t kRightTied = 1;
+  Rng rng(3);
+  std::vector<Entry<2>> data;
+  data.push_back({Rect<2>::FromPoint({{0.25, 0.5}}), kLeftTied});
+  data.push_back({Rect<2>::FromPoint({{0.75, 0.5}}), kRightTied});
+  for (uint64_t i = 0; i < 200; ++i) {
+    const double x = rng.Uniform(0.0, 0.2);
+    const double y = rng.Uniform(0.0, 1.0);
+    data.push_back({Rect<2>::FromPoint({{x, y}}), 2000 + 2 * i});
+    data.push_back({Rect<2>::FromPoint({{1.0 - x, y}}), 2001 + 2 * i});
+  }
+  const Point2 q{{0.5, 0.5}};
+  const std::vector<Neighbor> want = BruteForceKnn(data, q, 1);
+  ASSERT_EQ(want.size(), 1u);
+  ASSERT_EQ(want[0].id, kRightTied);
+
+  for (bool stream : {true, false}) {
+    SCOPED_TRACE("stream=" + std::to_string(stream));
+    auto set = ShardSet<2>::Build(data, SetOptions(2, false, ""));
+    ASSERT_TRUE(set.ok()) << set.status().ToString();
+    const std::vector<Rect<2>> extents = (*set)->extents();
+    ASSERT_EQ(extents[0].hi[0], 0.25);
+    ASSERT_EQ(extents[1].lo[0], 0.75);
+    ASSERT_EQ(MinDistSq<2>(q, extents[0]), MinDistSq<2>(q, extents[1]));
+
+    ShardRouter<2>::Options options;
+    options.stream_bound = stream;
+    ShardRouter<2> router(set->get(), options);
+    const std::vector<uint64_t> before = KnnCounts(**set);
+    QueryResponse<2> got = router.Execute(QueryRequest<2>::Knn(q, 1));
+    ASSERT_TRUE(got.ok()) << got.status.ToString();
+    ExpectByteIdentical(got.neighbors, want);
+    const std::vector<uint64_t> after = KnnCounts(**set);
+    EXPECT_EQ(after[0] - before[0], 1u);
+    EXPECT_EQ(after[1] - before[1], 1u);
+  }
+}
+
+TEST(ShardRouterTest, InsertsOutsideTilesStayReachable) {
+  // Four quadrant clusters leave a cross-shaped gap between the tiles.
+  Rng rng(8);
+  std::vector<Entry<2>> data;
+  for (uint64_t i = 0; i < 800; ++i) {
+    const double x = rng.Uniform(0.0, 0.4) + (i % 2 == 0 ? 0.0 : 0.6);
+    const double y = rng.Uniform(0.0, 0.4) + (i % 4 < 2 ? 0.0 : 0.6);
+    data.push_back({Rect<2>::FromPoint({{x, y}}), i});
+  }
+  auto options = SetOptions(4, true, ::testing::TempDir() + "/extents");
+  options.serving = true;
+  ASSERT_EQ(0, system(("mkdir -p " + options.dir).c_str()));
+  auto set = ShardSet<2>::Build(data, options);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ShardRouter<2> router(set->get());
+
+  // Outside every tile, and in the gaps between two (or four) tiles.
+  const std::vector<Point2> inserts = {
+      {{1.4, 0.5}}, {{-0.3, -0.2}}, {{0.5, 1.8}},
+      {{0.5, 0.2}}, {{0.2, 0.5}},   {{0.5, 0.5}}};
+  std::vector<Entry<2>> all = data;
+  for (size_t i = 0; i < inserts.size(); ++i) {
+    const Entry<2> e{Rect<2>::FromPoint(inserts[i]), 1'000'000 + i};
+    QueryResponse<2> ins =
+        router.Execute(QueryRequest<2>::Insert(e.mbr, e.id));
+    ASSERT_TRUE(ins.ok()) << ins.status.ToString();
+    all.push_back(e);
+  }
+
+  auto check = [&] {
+    for (const Point2& p : inserts) {
+      const Point2 near_a{{p[0] + 0.01, p[1] + 0.01}};
+      const Point2 near_b{{p[0] - 0.02, p[1]}};
+      for (const Point2& q : {p, near_a, near_b}) {
+        for (uint32_t k : {1u, 3u}) {
+          SCOPED_TRACE("q=(" + std::to_string(q[0]) + "," +
+                       std::to_string(q[1]) + ") k=" + std::to_string(k));
+          QueryResponse<2> got = router.Execute(QueryRequest<2>::Knn(q, k));
+          ASSERT_TRUE(got.ok()) << got.status.ToString();
+          ExpectByteIdentical(got.neighbors, BruteForceKnn(all, q, k));
+        }
+      }
+    }
+  };
+  check();
+  QueryResponse<2> ckpt = router.Execute(QueryRequest<2>::Checkpoint());
+  ASSERT_TRUE(ckpt.ok()) << ckpt.status.ToString();
+  check();
 }
 
 TEST(ShardRouterTest, MetricsExposePerShardFamilies) {

@@ -3,11 +3,16 @@
 // shared prune bound streaming, ranges, batches — while another thread
 // scrapes the merged metrics document continuously. Every answer is
 // checked byte-identical against a single-tree reference, so a data race
-// that corrupts a bound or a merge shows up even without TSan.
+// that corrupts a bound or a merge shows up even without TSan. A second
+// case races inserts that grow the shard extents against kNN readers that
+// prune shards by those extents.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -18,6 +23,7 @@
 #include "data/dataset.h"
 #include "data/uniform.h"
 #include "db/spatial_db.h"
+#include "geom/metrics.h"
 #include "shard/shard_router.h"
 #include "tests/test_util.h"
 
@@ -118,6 +124,123 @@ TEST(ShardStressTest, ConcurrentScatterGatherWithLiveScraping) {
   scraper.join();
 
   EXPECT_EQ(mismatches.load(), 0u);
+}
+
+TEST(ShardStressTest, OutOfTileInsertsVisibleToKnnAfterAck) {
+  const auto data = MakeData(2000);
+  ShardSet<2>::Options options;
+  options.num_shards = 4;
+  options.serving = true;
+  options.dir = ::testing::TempDir() + "/stress_extents";
+  options.page_size = 512;
+  options.buffer_pages = 64;
+  options.service.num_workers = 2;
+  options.service.frames_per_worker = 32;
+  ASSERT_EQ(0, system(("mkdir -p " + options.dir).c_str()));
+  auto set = ShardSet<2>::Build(data, options);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ShardRouter<2> router(set->get());
+
+  // Every insert lies on a circle of radius 0.8 around the data's centre,
+  // outside the unit square and so outside every initial tile. Sites are
+  // 0.071 to 0.087 apart on the circle (the jitter breaks the mirror
+  // symmetry that would tie distances); every data point is at least 0.093
+  // from it.
+  constexpr int kInserts = 64;
+  constexpr uint64_t kFirstId = 1'000'000;
+  Rng jitter(5);
+  std::vector<Entry<2>> all = data;
+  for (int i = 0; i < kInserts; ++i) {
+    const double angle =
+        2.0 * M_PI * (i + 0.1 * jitter.Uniform(0.0, 1.0)) / kInserts;
+    all.push_back({Rect<2>::FromPoint({{0.5 + 0.8 * std::cos(angle),
+                                        0.5 + 0.8 * std::sin(angle)}}),
+                   kFirstId + i});
+  }
+  const Entry<2>* sites = &all[data.size()];
+
+  // The 2 nearest neighbors of each site once all are in: the site itself
+  // and an adjacent site. As soon as both adjacent sites are acked, the
+  // answer is final — no later site or data point comes closer. Adjacent
+  // sites are routed to different shards wherever two grown extents meet,
+  // so this answer also needs the readers to see every grown extent.
+  std::vector<std::vector<Neighbor>> want(kInserts);
+  for (int i = 0; i < kInserts; ++i) {
+    const Point2 q = sites[i].mbr.lo;
+    for (const Entry<2>& e : all) {
+      want[i].push_back(Neighbor{e.id, ObjectDistSq<2>(q, e.mbr)});
+    }
+    std::sort(want[i].begin(), want[i].end(),
+              [](const Neighbor& a, const Neighbor& b) {
+                return a.dist_sq != b.dist_sq ? a.dist_sq < b.dist_sq
+                                              : a.id < b.id;
+              });
+    ASSERT_LT(want[i][1].dist_sq, want[i][2].dist_sq) << i;  // no tie
+    want[i].resize(2);
+    ASSERT_EQ(want[i][0].id, kFirstId + i);
+    const uint64_t next = kFirstId + (i + 1) % kInserts;
+    const uint64_t prev = kFirstId + (i + kInserts - 1) % kInserts;
+    ASSERT_TRUE(want[i][1].id == next || want[i][1].id == prev) << i;
+  }
+
+  std::atomic<int> acked{0};
+  std::atomic<uint64_t> failures{0};
+  std::thread writer([&] {
+    for (int i = 0; i < kInserts; ++i) {
+      QueryResponse<2> ins =
+          router.Execute(QueryRequest<2>::Insert(sites[i].mbr, sites[i].id));
+      if (!ins.ok()) failures.fetch_add(1);
+      acked.store(i + 1, std::memory_order_release);
+    }
+  });
+
+  constexpr int kReaders = 3;
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(77 + t);
+      int seen = 0;
+      while (seen < kInserts) {
+        seen = acked.load(std::memory_order_acquire);
+        if (seen == 0) {
+          std::this_thread::yield();
+          continue;
+        }
+        // k=1 at the newest acked site must find it.
+        const int newest = seen - 1;
+        QueryResponse<2> got =
+            router.Execute(QueryRequest<2>::Knn(sites[newest].mbr.lo, 1));
+        if (!got.ok() || got.neighbors.size() != 1 ||
+            got.neighbors[0].id != sites[newest].id ||
+            got.neighbors[0].dist_sq != 0.0) {
+          failures.fetch_add(1);
+        }
+        // k=2 at an older site whose adjacent sites are both acked.
+        if (seen < 3) continue;
+        const int i = 1 + static_cast<int>(rng.NextBounded(seen - 2));
+        got = router.Execute(QueryRequest<2>::Knn(sites[i].mbr.lo, 2));
+        if (!got.ok() || got.neighbors.size() != 2 ||
+            std::memcmp(got.neighbors.data(), want[i].data(),
+                        2 * sizeof(Neighbor)) != 0) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(failures.load(), 0u);
+
+  // Quiescent: every site's answer is final.
+  for (int i = 0; i < kInserts; ++i) {
+    QueryResponse<2> got =
+        router.Execute(QueryRequest<2>::Knn(sites[i].mbr.lo, 2));
+    ASSERT_TRUE(got.ok()) << got.status.ToString();
+    ASSERT_EQ(got.neighbors.size(), 2u);
+    EXPECT_EQ(0, std::memcmp(got.neighbors.data(), want[i].data(),
+                             2 * sizeof(Neighbor)))
+        << "site " << i;
+  }
 }
 
 }  // namespace

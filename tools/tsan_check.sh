@@ -5,7 +5,8 @@
 # byte-identical results against single-threaded KnnSearch, the
 # serving-mode stress test (concurrent writes + snapshot-pinned readers),
 # the sharded scatter-gather stress test (concurrent router calls with
-# shared prune-bound streaming + live metrics scraping), the advanced
+# shared prune-bound streaming + live metrics scraping, and out-of-tile
+# inserts growing shard extents under kNN readers), the advanced
 # query kinds' cross-shard merge paths (reverse-kNN verification rounds,
 # skyline re-merge, approx contract merge), the resident tier's
 # publish/invalidate/recompile-under-write-load race coverage, and the
