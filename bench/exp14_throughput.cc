@@ -77,12 +77,12 @@ RunResult RunLoad(QueryService<2>& service,
   }
   for (auto& c : clients) c.join();
 
-  const ServiceStats stats = service.Stats();
+  const ServiceStats stats = service.Snapshot();
   RunResult r;
   r.qps = stats.QueriesPerSecond();
-  r.p50_ms = static_cast<double>(stats.latency.PercentileNs(0.50)) / 1e6;
-  r.p95_ms = static_cast<double>(stats.latency.PercentileNs(0.95)) / 1e6;
-  r.p99_ms = static_cast<double>(stats.latency.PercentileNs(0.99)) / 1e6;
+  r.p50_ms = static_cast<double>(stats.latency.Percentile(0.50)) / 1e6;
+  r.p95_ms = static_cast<double>(stats.latency.Percentile(0.95)) / 1e6;
+  r.p99_ms = static_cast<double>(stats.latency.Percentile(0.99)) / 1e6;
   r.pages_per_query = stats.PageAccessesPerQuery();
   r.phys_reads_per_query = stats.PhysicalReadsPerQuery();
   r.hit_rate = stats.buffer.HitRate();

@@ -141,15 +141,15 @@ RunResult RunLoad(QueryService<2>& service, const std::vector<Point2>& queries,
   }
   for (auto& c : clients) c.join();
 
-  const ServiceStats stats = service.Stats();
+  const ServiceStats stats = service.Snapshot();
   stop.store(true, std::memory_order_release);
   if (writer.joinable()) writer.join();
 
   RunResult r;
   r.qps = stats.QueriesPerSecond();
-  r.p50_ms = static_cast<double>(stats.latency.PercentileNs(0.50)) / 1e6;
-  r.p95_ms = static_cast<double>(stats.latency.PercentileNs(0.95)) / 1e6;
-  r.p99_ms = static_cast<double>(stats.latency.PercentileNs(0.99)) / 1e6;
+  r.p50_ms = static_cast<double>(stats.latency.Percentile(0.50)) / 1e6;
+  r.p95_ms = static_cast<double>(stats.latency.Percentile(0.95)) / 1e6;
+  r.p99_ms = static_cast<double>(stats.latency.Percentile(0.99)) / 1e6;
   r.pages_per_query = stats.PageAccessesPerQuery();
   r.achieved_writes_per_s =
       stats.elapsed_seconds > 0

@@ -10,7 +10,7 @@
 #include "baselines/kd_tree.h"
 #include "baselines/linear_scan.h"
 #include "baselines/range_expand.h"
-#include "core/best_first.h"
+#include "core/incremental.h"
 #include "exp_common.h"
 
 namespace spatial {

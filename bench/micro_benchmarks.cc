@@ -10,7 +10,7 @@
 #include "storage/disk_manager.h"
 #include "bench_util/experiment.h"
 #include "common/rng.h"
-#include "core/best_first.h"
+#include "core/incremental.h"
 #include "core/knn.h"
 #include "data/dataset.h"
 #include "data/uniform.h"

@@ -2,6 +2,8 @@
 #define SPATIAL_CORE_GEO_BROWSE_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "common/result.h"
@@ -12,37 +14,47 @@
 
 namespace spatial {
 
-// Geometry-preserving incremental distance browse, shared by the
-// reverse-kNN and NN-skyline traversals (the queries that still need the
-// popped box *after* the node holding it is gone — sector assignment,
-// per-source dominance tests). Works over either backend through
-// NodeAccessor, keeps all queue state in the scratch arena (zero
+// Geometry-preserving incremental distance browse: the one best-first
+// browse of core/, shared by the incremental k-NN iterator, reverse k-NN
+// and the NN skyline (the latter two still need the popped box *after*
+// the node holding it is gone — sector assignment, per-source dominance
+// tests). Runs on either tier through a node-access policy
+// (core/node_access.h), keeps all queue state in the scratch arena (zero
 // steady-state allocations), and computes keys with the batch kernel the
 // caller supplies, so one node expansion prices all entries in one pass.
 //
-// Unlike IncrementalKnn, Next() surfaces *both* nodes and objects: the
-// caller decides per popped node whether to descend (Expand) or prune it,
-// which is what makes the skyline's dominance pruning possible.
+// Next() surfaces *both* nodes and objects: the caller decides per popped
+// node whether to descend (Expand) or prune it, which is what makes the
+// skyline's dominance pruning possible.
+//
+// The queue lives in scratch->geo_heap (the boxes in geo_boxes), not in
+// the browse object: Start() seeds it with the root, and a browse
+// constructed later over the same scratch resumes it (IncrementalKnn
+// builds one per Next() call).
 //
 // KeyFn signature: void(const SoaBlock<D>& soa, double* keys) — fills
 // keys[0..soa.n) with the squared-distance key of each staged entry and
 // charges its own distance_computations.
-template <int D, class KeyFn>
+template <int D, class Access, class KeyFn>
 class GeoBrowse {
  public:
-  GeoBrowse(const NodeAccessor<D>& access, PageId root_page, bool empty,
-            KeyFn key, QueryScratch<D>* scratch, QueryStats* stats,
-            const char* bad_magic_message)
+  GeoBrowse(const Access& access, KeyFn key, QueryScratch<D>* scratch,
+            QueryStats* stats)
       : access_(access),
         key_(std::move(key)),
         scratch_(scratch),
-        stats_(stats),
-        bad_magic_message_(bad_magic_message) {
+        stats_(stats) {}
+
+  // Starts a new browse: the queue holds just the root (nothing for an
+  // empty tree).
+  void Start() {
     scratch_->geo_heap.clear();
-    if (!empty) {
+    scratch_->geo_boxes.clear();
+    scratch_->geo_free_boxes.clear();
+    if (!access_.empty()) {
+      scratch_->geo_boxes.push_back(Rect<D>::Empty());
       scratch_->geo_heap.push_back(
-          GeoHeapItem<D>{0.0, /*is_object=*/false, root_page,
-                         Rect<D>::Empty()});
+          GeoHeapEntry{0.0, /*is_object=*/false, 0, access_.root_page()});
       if (stats_ != nullptr) ++stats_->heap_pushes;
     }
   }
@@ -50,23 +62,29 @@ class GeoBrowse {
   // Pops the item with the smallest key (node or object) into *out.
   // Returns false when the queue is exhausted. Keys of popped items are
   // nondecreasing as long as the caller only Expands popped nodes.
-  Result<bool> Next(GeoHeapItem<D>* out) {
-    std::vector<GeoHeapItem<D>>& heap = scratch_->geo_heap;
+  bool Next(GeoItem<D>* out) {
+    std::vector<GeoHeapEntry>& heap = scratch_->geo_heap;
     if (heap.empty()) return false;
     std::pop_heap(heap.begin(), heap.end());
-    *out = heap.back();
+    const GeoHeapEntry top = heap.back();
     heap.pop_back();
+    *out = GeoItem<D>{top.dist_sq, top.is_object, top.id,
+                      scratch_->geo_boxes[top.box]};
+    scratch_->geo_free_boxes.push_back(top.box);
     if (stats_ != nullptr) ++stats_->heap_pops;
     return true;
   }
 
   // Descends a node previously returned by Next: expands it and enqueues
-  // its children (or objects) with their keys and geometry.
-  Status Expand(const GeoHeapItem<D>& item) {
-    ExpandedNode<D> node;
+  // its children (or objects) with their keys and geometry. Kept out of
+  // line: inlined into the incremental scan's per-Next loop, the loop
+  // measured ~10% slower.
+  [[gnu::noinline]] Status Expand(const GeoItem<D>& item) {
+    typename Access::Node storage;
+    const typename Access::Node* node_ptr = nullptr;
     SPATIAL_RETURN_IF_ERROR(access_.Expand(static_cast<PageId>(item.id),
-                                           scratch_, &node,
-                                           bad_magic_message_));
+                                           scratch_, &storage, &node_ptr));
+    const typename Access::Node& node = *node_ptr;
     if (stats_ != nullptr) {
       ++stats_->nodes_visited;
       if (node.is_leaf()) {
@@ -80,9 +98,10 @@ class GeoBrowse {
     if (n == 0) return Status::OK();
 
     const bool is_leaf = node.is_leaf();
+    const auto& soa = NodeSoa(node);
     double* keys =
         scratch_->min_dist.EnsureCapacity(QueryScratch<D>::DistSlots(n));
-    key_(node.soa, keys);
+    key_(soa, keys);
     if (stats_ != nullptr) {
       stats_->heap_pushes += n;
       if (is_leaf) {
@@ -91,31 +110,43 @@ class GeoBrowse {
         stats_->abl_entries_generated += n;
       }
     }
-    // The box geometry is read back out of the staged SoA planes — both
-    // backends expose them, and the plane values are the entry's exact
-    // lo/hi doubles, so the reconstructed Rect is bit-exact.
-    std::vector<GeoHeapItem<D>>& heap = scratch_->geo_heap;
+    // The box geometry is read back out of the SoA planes — both tiers
+    // expose them, and the plane values are the entry's exact lo/hi
+    // doubles, so the reconstructed Rect is bit-exact. Slots of popped
+    // entries are reused, so geo_boxes holds one box per queued entry at
+    // its peak (a draining browse would otherwise keep one per entry it
+    // ever pushed); 32-bit slot indices cover any queue under 2^32.
+    std::vector<Rect<D>>& boxes = scratch_->geo_boxes;
+    std::vector<uint32_t>& free_boxes = scratch_->geo_free_boxes;
+    if (boxes.size() + n > std::numeric_limits<uint32_t>::max()) {
+      return Status::ResourceExhausted("browse: more than 2^32 entries");
+    }
+    std::vector<GeoHeapEntry>& heap = scratch_->geo_heap;
     for (uint32_t i = 0; i < n; ++i) {
-      GeoHeapItem<D> child;
-      child.dist_sq = keys[i];
-      child.is_object = is_leaf;
-      child.id = node.id(i);
-      for (int d = 0; d < D; ++d) {
-        child.mbr.lo[d] = node.soa.lo(d)[i];
-        child.mbr.hi[d] = node.soa.hi(d)[i];
+      uint32_t slot;
+      if (free_boxes.empty()) {
+        slot = static_cast<uint32_t>(boxes.size());
+        boxes.emplace_back();
+      } else {
+        slot = free_boxes.back();
+        free_boxes.pop_back();
       }
-      heap.push_back(child);
+      Rect<D>& box = boxes[slot];
+      for (int d = 0; d < D; ++d) {
+        box.lo[d] = soa.lo(d)[i];
+        box.hi[d] = soa.hi(d)[i];
+      }
+      heap.push_back(GeoHeapEntry{keys[i], is_leaf, slot, node.id(i)});
       std::push_heap(heap.begin(), heap.end());
     }
     return Status::OK();
   }
 
  private:
-  const NodeAccessor<D> access_;
+  const Access access_;
   KeyFn key_;
   QueryScratch<D>* scratch_;
   QueryStats* stats_;
-  const char* bad_magic_message_;
 };
 
 }  // namespace spatial

@@ -1,114 +1,61 @@
 #include "core/incremental.h"
 
-#include <algorithm>
-
+#include "core/geo_browse.h"
 #include "geom/metrics_simd.h"
-#include "rtree/node.h"
 
 namespace spatial {
 
+namespace {
+
+// The iterator's browse key: plain MINDIST, which for a leaf entry is the
+// object distance (the object-distance kernel is the MINDIST kernel).
 template <int D>
-IncrementalKnn<D>::IncrementalKnn(const RTree<D>& tree, const Point<D>& query,
+struct MinDistKey {
+  const Point<D>* query;
+  QueryStats* stats;
+
+  void operator()(const SoaBlock<D>& soa, double* keys) const {
+    MinDistSqBatchSoa(*query, soa, keys);
+    if (stats != nullptr) stats->distance_computations += soa.n;
+  }
+};
+
+}  // namespace
+
+template <int D>
+IncrementalKnn<D>::IncrementalKnn(TreeView<D> tree, const Point<D>& query,
                                   QueryStats* stats)
     : IncrementalKnn(tree, query, nullptr, stats) {}
 
 template <int D>
-IncrementalKnn<D>::IncrementalKnn(const RTree<D>& tree, const Point<D>& query,
+IncrementalKnn<D>::IncrementalKnn(TreeView<D> tree, const Point<D>& query,
                                   QueryScratch<D>* scratch, QueryStats* stats)
-    : IncrementalKnn(NodeAccessor<D>(tree), tree.root_page(), tree.empty(),
-                     query, scratch, stats) {}
-
-template <int D>
-IncrementalKnn<D>::IncrementalKnn(const ResidentTree<D>& tree,
-                                  const Point<D>& query, QueryStats* stats)
-    : IncrementalKnn(tree, query, nullptr, stats) {}
-
-template <int D>
-IncrementalKnn<D>::IncrementalKnn(const ResidentTree<D>& tree,
-                                  const Point<D>& query,
-                                  QueryScratch<D>* scratch, QueryStats* stats)
-    : IncrementalKnn(NodeAccessor<D>(tree), tree.root_page(), tree.empty(),
-                     query, scratch, stats) {}
-
-template <int D>
-IncrementalKnn<D>::IncrementalKnn(const NodeAccessor<D>& access,
-                                  PageId root_page, bool empty,
-                                  const Point<D>& query,
-                                  QueryScratch<D>* scratch, QueryStats* stats)
-    : access_(access), query_(query), stats_(stats), scratch_(scratch) {
+    : tree_(tree), query_(query), stats_(stats), scratch_(scratch) {
   if (scratch_ == nullptr) {
     owned_scratch_ = std::make_unique<QueryScratch<D>>();
     scratch_ = owned_scratch_.get();
   }
-  scratch_->heap.clear();
-  if (!empty) {
-    scratch_->heap.push_back(
-        DistHeapItem{0.0, /*is_object=*/false, root_page});
-    if (stats_ != nullptr) ++stats_->heap_pushes;
-  }
+  tree_.WithAccess([&](const auto& access) {
+    GeoBrowse(access, MinDistKey<D>{&query_, stats_}, scratch_, stats_)
+        .Start();
+  });
 }
 
 template <int D>
 Result<std::optional<Neighbor>> IncrementalKnn<D>::Next() {
-  std::vector<DistHeapItem>& heap = scratch_->heap;
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end());
-    const DistHeapItem item = heap.back();
-    heap.pop_back();
-    if (stats_ != nullptr) ++stats_->heap_pops;
-    if (item.is_object) {
-      return std::optional<Neighbor>(Neighbor{item.id, item.dist_sq});
-    }
-    SPATIAL_RETURN_IF_ERROR(ExpandNode(static_cast<PageId>(item.id)));
-  }
-  return std::optional<Neighbor>(std::nullopt);
-}
-
-template <int D>
-Status IncrementalKnn<D>::ExpandNode(PageId node_id) {
-  ExpandedNode<D> node;
-  SPATIAL_RETURN_IF_ERROR(access_.Expand(
-      node_id, scratch_, &node, "incremental knn: node page has bad magic"));
-  if (stats_ != nullptr) {
-    ++stats_->nodes_visited;
-    if (node.is_leaf()) {
-      ++stats_->leaf_nodes_visited;
-    } else {
-      ++stats_->internal_nodes_visited;
-    }
-  }
-  if (obs::TraceContext* t = scratch_->trace) t->CountNode(node.level);
-  const bool is_leaf = node.is_leaf();
-  const uint32_t n = node.count;
-  if (n == 0) return Status::OK();
-
-  // Expansion never recurses, so a paged leaf's pin is simply held inside
-  // `node` for the whole call; the metric for all entries runs through the
-  // dispatched SoA kernel over the node's planes (ObjectDist and MINDIST
-  // are the same kernel — both are MBR MINDIST).
-  double* dist =
-      scratch_->min_dist.EnsureCapacity(QueryScratch<D>::DistSlots(n));
-  if (is_leaf) {
-    ObjectDistSqBatchSoa(query_, node.soa, dist);
-  } else {
-    MinDistSqBatchSoa(query_, node.soa, dist);
-  }
-  if (stats_ != nullptr) {
-    stats_->distance_computations += n;
-    stats_->heap_pushes += n;
-    if (is_leaf) {
-      stats_->objects_examined += n;
-    } else {
-      stats_->abl_entries_generated += n;
-    }
-  }
-
-  std::vector<DistHeapItem>& heap = scratch_->heap;
-  for (uint32_t i = 0; i < n; ++i) {
-    heap.push_back(DistHeapItem{dist[i], is_leaf, node.id(i)});
-    std::push_heap(heap.begin(), heap.end());
-  }
-  return Status::OK();
+  return tree_.WithAccess(
+      [&](const auto& access) -> Result<std::optional<Neighbor>> {
+        GeoBrowse browse(access, MinDistKey<D>{&query_, stats_}, scratch_,
+                         stats_);
+        GeoItem<D> item;
+        while (browse.Next(&item)) {
+          if (item.is_object) {
+            return std::optional<Neighbor>(Neighbor{item.id, item.dist_sq});
+          }
+          SPATIAL_RETURN_IF_ERROR(browse.Expand(item));
+        }
+        return std::optional<Neighbor>(std::nullopt);
+      });
 }
 
 template class IncrementalKnn<2>;

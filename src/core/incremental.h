@@ -12,8 +12,6 @@
 #include "core/query_stats.h"
 #include "core/scratch.h"
 #include "geom/point.h"
-#include "rtree/rtree.h"
-#include "storage/resident_tree.h"
 
 namespace spatial {
 
@@ -26,14 +24,17 @@ namespace spatial {
 // (later formalized by Hjaltason & Samet); experiment E8 uses it as the
 // page-access-optimal comparator for the paper's depth-first search.
 //
+// The iterator is a thin adapter over GeoBrowse (core/geo_browse.h): it
+// keys entries by MINDIST, expands every node it pops and returns the
+// objects. Equal-distance objects come out in ascending id order.
+//
 // The queue and the node-staging buffers live in a QueryScratch: pass one
 // in to reuse its storage across queries (the query-service workers do), or
-// use the scratch-less constructors and the iterator owns a private arena.
+// use the scratch-less constructor and the iterator owns a private arena.
 //
-// The iterator runs over either backend: a paged RTree (borrowing its
-// buffer pool) or a compiled ResidentTree (storage/resident_tree.h), with
-// bit-identical emission order — both expand nodes through the same
-// NodeAccessor and push the same (distance, id) items.
+// `tree` is either tier — a paged RTree or a compiled ResidentTree
+// (storage/resident_tree.h) — with bit-identical emission order. Each
+// Next() call picks the tier's access policy once.
 //
 // The iterator borrows the tree (and `scratch` if given); it must not
 // outlive them, and the tree must not be mutated while iterating. A shared
@@ -41,26 +42,15 @@ namespace spatial {
 template <int D>
 class IncrementalKnn {
  public:
-  IncrementalKnn(const RTree<D>& tree, const Point<D>& query,
-                 QueryStats* stats);
-  IncrementalKnn(const RTree<D>& tree, const Point<D>& query,
-                 QueryScratch<D>* scratch, QueryStats* stats);
-  IncrementalKnn(const ResidentTree<D>& tree, const Point<D>& query,
-                 QueryStats* stats);
-  IncrementalKnn(const ResidentTree<D>& tree, const Point<D>& query,
+  IncrementalKnn(TreeView<D> tree, const Point<D>& query, QueryStats* stats);
+  IncrementalKnn(TreeView<D> tree, const Point<D>& query,
                  QueryScratch<D>* scratch, QueryStats* stats);
 
   // Returns the next-closest neighbor, or nullopt when exhausted.
   Result<std::optional<Neighbor>> Next();
 
  private:
-  IncrementalKnn(const NodeAccessor<D>& access, PageId root_page, bool empty,
-                 const Point<D>& query, QueryScratch<D>* scratch,
-                 QueryStats* stats);
-
-  Status ExpandNode(PageId node_id);
-
-  NodeAccessor<D> access_;
+  TreeView<D> tree_;
   Point<D> query_;
   QueryStats* stats_;
   std::unique_ptr<QueryScratch<D>> owned_scratch_;  // when none was passed
@@ -70,6 +60,28 @@ class IncrementalKnn {
 extern template class IncrementalKnn<2>;
 extern template class IncrementalKnn<3>;
 extern template class IncrementalKnn<4>;
+
+// Global best-first k-NN: the first k objects of an IncrementalKnn browse.
+// Visits the provably minimal set of R-tree nodes for the query, at the
+// cost of a global priority queue; E8 uses it as the page-access-optimal
+// comparator. Returns fewer than k neighbors iff the tree holds fewer than
+// k objects; k may be arbitrarily large (nothing is reserved up front).
+// `scratch` may be null for a private arena.
+template <int D>
+Result<std::vector<Neighbor>> BestFirstKnn(TreeView<D> tree,
+                                           const Point<D>& query, uint32_t k,
+                                           QueryStats* stats,
+                                           QueryScratch<D>* scratch = nullptr) {
+  if (k < 1) return Status::InvalidArgument("k must be >= 1");
+  std::vector<Neighbor> result;
+  IncrementalKnn<D> scan(tree, query, scratch, stats);
+  while (result.size() < k) {
+    SPATIAL_ASSIGN_OR_RETURN(std::optional<Neighbor> next, scan.Next());
+    if (!next.has_value()) break;
+    result.push_back(*next);
+  }
+  return result;
+}
 
 }  // namespace spatial
 

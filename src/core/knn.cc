@@ -57,70 +57,10 @@ struct AblFrame {
   ~AblFrame() { arena->resize(base); }
 };
 
-// Compile-time node-access policies. The traversal below is templated on
-// one of these rather than branching per visit, so the resident
-// instantiation compiles down to a table lookup with no ExpandedNode
-// staging, no PageHandle, and no backend branch on its hot path — the
-// paged instantiation is exactly the NodeAccessor expansion it always was.
-// Both yield nodes with the same count/level/soa/id accessors, so the
-// traversal source (and therefore answers, visit order, and stats) is
-// identical for both backends.
-template <int D>
-class PagedAccess {
- public:
-  using Node = ExpandedNode<D>;
-  explicit PagedAccess(const RTree<D>& tree) : access_(tree) {}
-  Status Expand(PageId id, QueryScratch<D>* scratch, Node* storage,
-                const Node** out, const char* bad_magic_message) const {
-    *out = storage;
-    return access_.Expand(id, scratch, storage, bad_magic_message);
-  }
-  void Prefetch(PageId) const {}
-
- private:
-  const NodeAccessor<D> access_;
-};
-
-template <int D>
-class ResidentAccess {
- public:
-  using Node = ResidentNodeRef<D>;
-  explicit ResidentAccess(const ResidentTree<D>& tree) : tree_(&tree) {}
-  Status Expand(PageId id, QueryScratch<D>*, Node*, const Node** out,
-                const char*) const {
-    const ResidentNodeRef<D>* node = tree_->Find(id);
-    if (node == nullptr) {
-      return Status::Corruption("resident tree: unknown node page");
-    }
-    *out = node;
-    return Status::OK();
-  }
-  void Prefetch(PageId id) const {
-    if (const ResidentNodeRef<D>* node = tree_->Find(id)) {
-      __builtin_prefetch(node->planes);
-    }
-  }
-
- private:
-  const ResidentTree<D>* tree_;
-};
-
-// The SoA planes in the form the kernels take, from either node shape (the
-// paged ExpandedNode carries the staged block by value, the resident node
-// derives it from its arena record).
-template <int D>
-inline const SoaBlock<D>& NodeSoa(const ExpandedNode<D>& node) {
-  return node.soa;
-}
-template <int D>
-inline SoaBlock<D> NodeSoa(const ResidentNodeRef<D>& node) {
-  return node.soa();
-}
-
-// The depth-first branch-and-bound search, generic over the node backend:
-// the Access policy expands pages from either the paged buffer pool or a
-// compiled ResidentTree, so one traversal serves both tiers with
-// bit-identical answers and visit order.
+// The depth-first branch-and-bound search, generic over the node-access
+// policy (core/node_access.h): the policy expands pages from either the
+// paged buffer pool or a compiled ResidentTree, so one traversal serves
+// both tiers with bit-identical answers and visit order.
 //
 // kObserved selects the instrumented instantiation: stats accumulation,
 // trace counting, and visit recording all compile away when the caller
@@ -130,11 +70,10 @@ inline SoaBlock<D> NodeSoa(const ResidentNodeRef<D>& node) {
 template <int D, class Access, bool kObserved>
 class DepthFirstKnn {
  public:
-  DepthFirstKnn(const Access& access, PageId root_page,
-                const Point<D>& query, const KnnOptions& options,
-                QueryScratch<D>* scratch, QueryStats* stats)
+  DepthFirstKnn(const Access& access, const Point<D>& query,
+                const KnnOptions& options, QueryScratch<D>* scratch,
+                QueryStats* stats)
       : access_(access),
-        root_page_(root_page),
         query_(query),
         options_(options),
         scratch_(scratch),
@@ -165,7 +104,7 @@ class DepthFirstKnn {
   Status Run(std::vector<Neighbor>* out, bool append) {
     scratch_->buffer.Reset(options_.k);
     scratch_->abl.clear();
-    SPATIAL_RETURN_IF_ERROR(Visit(root_page_));
+    SPATIAL_RETURN_IF_ERROR(Visit(access_.root_page()));
     scratch_->buffer.ExtractSorted(out, append);
     return Status::OK();
   }
@@ -281,9 +220,8 @@ class DepthFirstKnn {
     }
     typename Access::Node storage;
     const typename Access::Node* node_ptr = nullptr;
-    SPATIAL_RETURN_IF_ERROR(access_.Expand(node_id, scratch_, &storage,
-                                           &node_ptr,
-                                           "knn: node page has bad magic"));
+    SPATIAL_RETURN_IF_ERROR(
+        access_.Expand(node_id, scratch_, &storage, &node_ptr));
     const typename Access::Node& node = *node_ptr;
     if constexpr (kObserved) {
       if (stats_ != nullptr) {
@@ -494,7 +432,6 @@ class DepthFirstKnn {
   }
 
   const Access access_;
-  const PageId root_page_;
   const Point<D> query_;
   const KnnOptions options_;
   QueryScratch<D>* scratch_;
@@ -540,11 +477,10 @@ class DepthFirstKnn {
 template <int D, class Access, bool kObserved>
 class BestFirstApproxKnn {
  public:
-  BestFirstApproxKnn(const Access& access, PageId root_page,
-                     const Point<D>& query, const KnnOptions& options,
-                     QueryScratch<D>* scratch, QueryStats* stats)
+  BestFirstApproxKnn(const Access& access, const Point<D>& query,
+                     const KnnOptions& options, QueryScratch<D>* scratch,
+                     QueryStats* stats)
       : access_(access),
-        root_page_(root_page),
         query_(query),
         options_(options),
         scratch_(scratch),
@@ -570,7 +506,7 @@ class BestFirstApproxKnn {
     // by MBR containment).
     bool has_next = true;
     double next_key = 0.0;
-    PageId next_node = root_page_;
+    PageId next_node = access_.root_page();
     while (true) {
       if (visit_budget_ != 0 && visits >= visit_budget_) break;
       double key;
@@ -654,9 +590,8 @@ class BestFirstApproxKnn {
                PageId* next_node) {
     typename Access::Node storage;
     const typename Access::Node* node_ptr = nullptr;
-    SPATIAL_RETURN_IF_ERROR(access_.Expand(node_id, scratch_, &storage,
-                                           &node_ptr,
-                                           "knn: node page has bad magic"));
+    SPATIAL_RETURN_IF_ERROR(
+        access_.Expand(node_id, scratch_, &storage, &node_ptr));
     const typename Access::Node& node = *node_ptr;
     if constexpr (kObserved) {
       if (stats_ != nullptr) {
@@ -765,7 +700,6 @@ class BestFirstApproxKnn {
   }
 
   const Access access_;
-  const PageId root_page_;
   const Point<D> query_;
   const KnnOptions options_;
   QueryScratch<D>* scratch_;
@@ -777,14 +711,13 @@ class BestFirstApproxKnn {
 };
 
 template <int D, class Access>
-Status KnnSearchIntoImpl(const Access& access, PageId root_page, bool empty,
-                         const Point<D>& query, const KnnOptions& options,
-                         QueryScratch<D>* scratch, std::vector<Neighbor>* out,
-                         QueryStats* stats) {
+Status KnnSearchIntoImpl(const Access& access, const Point<D>& query,
+                         const KnnOptions& options, QueryScratch<D>* scratch,
+                         std::vector<Neighbor>* out, QueryStats* stats) {
   SPATIAL_CHECK(scratch != nullptr && out != nullptr);
   SPATIAL_RETURN_IF_ERROR(options.Validate());
   out->clear();
-  if (empty) return Status::OK();
+  if (access.empty()) return Status::OK();
   // An active approximation knob selects the best-first engine; zero-knob
   // searches take the paper's depth-first engine, bit for bit.
   const bool approx = options.epsilon > 0.0 || options.max_visits != 0;
@@ -792,38 +725,37 @@ Status KnnSearchIntoImpl(const Access& access, PageId root_page, bool empty,
       scratch->trace == nullptr) {
     if (approx) {
       BestFirstApproxKnn<D, Access, /*kObserved=*/false> search(
-          access, root_page, query, options, scratch, stats);
+          access, query, options, scratch, stats);
       return search.Run(out, /*append=*/false);
     }
-    DepthFirstKnn<D, Access, /*kObserved=*/false> search(
-        access, root_page, query, options, scratch, stats);
+    DepthFirstKnn<D, Access, /*kObserved=*/false> search(access, query,
+                                                         options, scratch,
+                                                         stats);
     return search.Run(out, /*append=*/false);
   }
   if (approx) {
     BestFirstApproxKnn<D, Access, /*kObserved=*/true> search(
-        access, root_page, query, options, scratch, stats);
+        access, query, options, scratch, stats);
     return search.Run(out, /*append=*/false);
   }
-  DepthFirstKnn<D, Access, /*kObserved=*/true> search(access, root_page, query,
-                                                      options, scratch, stats);
+  DepthFirstKnn<D, Access, /*kObserved=*/true> search(access, query, options,
+                                                      scratch, stats);
   return search.Run(out, /*append=*/false);
 }
 
 template <int D, class Access>
-Status KnnSearchBatchImpl(const Access& access, PageId root_page, bool empty,
-                          const Point<D>* queries, size_t num_queries,
-                          const KnnOptions& options, QueryScratch<D>* scratch,
-                          BatchKnnResult* out) {
+Status KnnSearchBatchImpl(const Access& access, const Point<D>* queries,
+                          size_t num_queries, const KnnOptions& options,
+                          QueryScratch<D>* scratch, BatchKnnResult* out) {
   SPATIAL_CHECK(scratch != nullptr && out != nullptr);
   SPATIAL_RETURN_IF_ERROR(options.Validate());
   out->Clear();
   out->offsets.push_back(0);
   for (size_t q = 0; q < num_queries; ++q) {
     out->stats.emplace_back();
-    if (!empty) {
+    if (!access.empty()) {
       DepthFirstKnn<D, Access, /*kObserved=*/true> search(
-          access, root_page, queries[q], options, scratch,
-          &out->stats.back());
+          access, queries[q], options, scratch, &out->stats.back());
       SPATIAL_RETURN_IF_ERROR(search.Run(&out->neighbors, /*append=*/true));
     }
     out->offsets.push_back(static_cast<uint32_t>(out->neighbors.size()));
@@ -834,21 +766,12 @@ Status KnnSearchBatchImpl(const Access& access, PageId root_page, bool empty,
 }  // namespace
 
 template <int D>
-Status KnnSearchInto(const RTree<D>& tree, const Point<D>& query,
+Status KnnSearchInto(TreeView<D> tree, const Point<D>& query,
                      const KnnOptions& options, QueryScratch<D>* scratch,
                      std::vector<Neighbor>* out, QueryStats* stats) {
-  return KnnSearchIntoImpl<D>(PagedAccess<D>(tree), tree.root_page(),
-                              tree.empty(), query, options, scratch, out,
-                              stats);
-}
-
-template <int D>
-Status KnnSearchInto(const ResidentTree<D>& tree, const Point<D>& query,
-                     const KnnOptions& options, QueryScratch<D>* scratch,
-                     std::vector<Neighbor>* out, QueryStats* stats) {
-  return KnnSearchIntoImpl<D>(ResidentAccess<D>(tree), tree.root_page(),
-                              tree.empty(), query, options, scratch, out,
-                              stats);
+  return tree.WithAccess([&](const auto& access) {
+    return KnnSearchIntoImpl<D>(access, query, options, scratch, out, stats);
+  });
 }
 
 template <int D>
@@ -859,26 +782,18 @@ Result<std::vector<Neighbor>> KnnSearch(const RTree<D>& tree,
   QueryScratch<D> scratch;
   std::vector<Neighbor> out;
   SPATIAL_RETURN_IF_ERROR(
-      KnnSearchInto(tree, query, options, &scratch, &out, stats));
+      KnnSearchInto<D>(tree, query, options, &scratch, &out, stats));
   return out;
 }
 
 template <int D>
-Status KnnSearchBatch(const RTree<D>& tree, const Point<D>* queries,
+Status KnnSearchBatch(TreeView<D> tree, const Point<D>* queries,
                       size_t num_queries, const KnnOptions& options,
                       QueryScratch<D>* scratch, BatchKnnResult* out) {
-  return KnnSearchBatchImpl<D>(PagedAccess<D>(tree), tree.root_page(),
-                               tree.empty(), queries, num_queries, options,
-                               scratch, out);
-}
-
-template <int D>
-Status KnnSearchBatch(const ResidentTree<D>& tree, const Point<D>* queries,
-                      size_t num_queries, const KnnOptions& options,
-                      QueryScratch<D>* scratch, BatchKnnResult* out) {
-  return KnnSearchBatchImpl<D>(ResidentAccess<D>(tree), tree.root_page(),
-                               tree.empty(), queries, num_queries, options,
-                               scratch, out);
+  return tree.WithAccess([&](const auto& access) {
+    return KnnSearchBatchImpl<D>(access, queries, num_queries, options,
+                                 scratch, out);
+  });
 }
 
 template Result<std::vector<Neighbor>> KnnSearch<2>(const RTree<2>&,
@@ -894,44 +809,24 @@ template Result<std::vector<Neighbor>> KnnSearch<4>(const RTree<4>&,
                                                     const KnnOptions&,
                                                     QueryStats*);
 
-template Status KnnSearchInto<2>(const RTree<2>&, const Point<2>&,
+template Status KnnSearchInto<2>(TreeView<2>, const Point<2>&,
                                  const KnnOptions&, QueryScratch<2>*,
                                  std::vector<Neighbor>*, QueryStats*);
-template Status KnnSearchInto<3>(const RTree<3>&, const Point<3>&,
+template Status KnnSearchInto<3>(TreeView<3>, const Point<3>&,
                                  const KnnOptions&, QueryScratch<3>*,
                                  std::vector<Neighbor>*, QueryStats*);
-template Status KnnSearchInto<4>(const RTree<4>&, const Point<4>&,
+template Status KnnSearchInto<4>(TreeView<4>, const Point<4>&,
                                  const KnnOptions&, QueryScratch<4>*,
                                  std::vector<Neighbor>*, QueryStats*);
 
-template Status KnnSearchInto<2>(const ResidentTree<2>&, const Point<2>&,
-                                 const KnnOptions&, QueryScratch<2>*,
-                                 std::vector<Neighbor>*, QueryStats*);
-template Status KnnSearchInto<3>(const ResidentTree<3>&, const Point<3>&,
-                                 const KnnOptions&, QueryScratch<3>*,
-                                 std::vector<Neighbor>*, QueryStats*);
-template Status KnnSearchInto<4>(const ResidentTree<4>&, const Point<4>&,
-                                 const KnnOptions&, QueryScratch<4>*,
-                                 std::vector<Neighbor>*, QueryStats*);
-
-template Status KnnSearchBatch<2>(const RTree<2>&, const Point<2>*, size_t,
+template Status KnnSearchBatch<2>(TreeView<2>, const Point<2>*, size_t,
                                   const KnnOptions&, QueryScratch<2>*,
                                   BatchKnnResult*);
-template Status KnnSearchBatch<3>(const RTree<3>&, const Point<3>*, size_t,
+template Status KnnSearchBatch<3>(TreeView<3>, const Point<3>*, size_t,
                                   const KnnOptions&, QueryScratch<3>*,
                                   BatchKnnResult*);
-template Status KnnSearchBatch<4>(const RTree<4>&, const Point<4>*, size_t,
+template Status KnnSearchBatch<4>(TreeView<4>, const Point<4>*, size_t,
                                   const KnnOptions&, QueryScratch<4>*,
-                                  BatchKnnResult*);
-
-template Status KnnSearchBatch<2>(const ResidentTree<2>&, const Point<2>*,
-                                  size_t, const KnnOptions&, QueryScratch<2>*,
-                                  BatchKnnResult*);
-template Status KnnSearchBatch<3>(const ResidentTree<3>&, const Point<3>*,
-                                  size_t, const KnnOptions&, QueryScratch<3>*,
-                                  BatchKnnResult*);
-template Status KnnSearchBatch<4>(const ResidentTree<4>&, const Point<4>*,
-                                  size_t, const KnnOptions&, QueryScratch<4>*,
                                   BatchKnnResult*);
 
 }  // namespace spatial

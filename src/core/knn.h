@@ -9,12 +9,12 @@
 
 #include "common/result.h"
 #include "core/neighbor_buffer.h"
+#include "core/node_access.h"
 #include "core/query_stats.h"
 #include "core/scratch.h"
 #include "core/shared_bound.h"
 #include "geom/point.h"
 #include "rtree/rtree.h"
-#include "storage/resident_tree.h"
 
 namespace spatial {
 
@@ -119,18 +119,14 @@ Result<std::vector<Neighbor>> KnnSearch(const RTree<D>& tree,
 // one output vector across queries makes steady-state execution perform
 // zero heap allocations (see docs/PERF.md). `scratch` and `out` must be
 // non-null; `stats` may be null.
-template <int D>
-Status KnnSearchInto(const RTree<D>& tree, const Point<D>& query,
-                     const KnnOptions& options, QueryScratch<D>* scratch,
-                     std::vector<Neighbor>* out, QueryStats* stats);
-
-// Resident-tier variant: the identical search over a compiled ResidentTree
-// (storage/resident_tree.h) — no buffer-pool pins, no page translation, no
-// per-visit transpose. Answers, visit order, and every QueryStats counter
-// except the page-access ones match the paged path bit for bit
+//
+// `tree` is either tier: a paged RTree or its compiled ResidentTree
+// (storage/resident_tree.h — no buffer-pool pins, no page translation, no
+// per-visit transpose). Answers, visit order, and every QueryStats counter
+// except the page-access ones match across tiers bit for bit
 // (tests/resident_tree_test.cc memcmp-gates this).
 template <int D>
-Status KnnSearchInto(const ResidentTree<D>& tree, const Point<D>& query,
+Status KnnSearchInto(TreeView<D> tree, const Point<D>& query,
                      const KnnOptions& options, QueryScratch<D>* scratch,
                      std::vector<Neighbor>* out, QueryStats* stats);
 
@@ -162,16 +158,11 @@ struct BatchKnnResult {
 
 // Runs `num_queries` kNN queries through one shared scratch, amortizing all
 // per-query setup. Results are identical to issuing the queries one by one
-// through KnnSearch (the batch is an execution strategy, not a different
-// algorithm). `scratch` and `out` must be non-null.
+// through KnnSearchInto (the batch is an execution strategy, not a
+// different algorithm). `tree` is either tier. `scratch` and `out` must be
+// non-null.
 template <int D>
-Status KnnSearchBatch(const RTree<D>& tree, const Point<D>* queries,
-                      size_t num_queries, const KnnOptions& options,
-                      QueryScratch<D>* scratch, BatchKnnResult* out);
-
-// Resident-tier batch variant (see the ResidentTree KnnSearchInto above).
-template <int D>
-Status KnnSearchBatch(const ResidentTree<D>& tree, const Point<D>* queries,
+Status KnnSearchBatch(TreeView<D> tree, const Point<D>* queries,
                       size_t num_queries, const KnnOptions& options,
                       QueryScratch<D>* scratch, BatchKnnResult* out);
 
@@ -182,49 +173,23 @@ extern template Result<std::vector<Neighbor>> KnnSearch<3>(
 extern template Result<std::vector<Neighbor>> KnnSearch<4>(
     const RTree<4>&, const Point<4>&, const KnnOptions&, QueryStats*);
 
-extern template Status KnnSearchInto<2>(const RTree<2>&, const Point<2>&,
+extern template Status KnnSearchInto<2>(TreeView<2>, const Point<2>&,
                                         const KnnOptions&, QueryScratch<2>*,
                                         std::vector<Neighbor>*, QueryStats*);
-extern template Status KnnSearchInto<3>(const RTree<3>&, const Point<3>&,
+extern template Status KnnSearchInto<3>(TreeView<3>, const Point<3>&,
                                         const KnnOptions&, QueryScratch<3>*,
                                         std::vector<Neighbor>*, QueryStats*);
-extern template Status KnnSearchInto<4>(const RTree<4>&, const Point<4>&,
+extern template Status KnnSearchInto<4>(TreeView<4>, const Point<4>&,
                                         const KnnOptions&, QueryScratch<4>*,
                                         std::vector<Neighbor>*, QueryStats*);
 
-extern template Status KnnSearchInto<2>(const ResidentTree<2>&,
-                                        const Point<2>&, const KnnOptions&,
-                                        QueryScratch<2>*,
-                                        std::vector<Neighbor>*, QueryStats*);
-extern template Status KnnSearchInto<3>(const ResidentTree<3>&,
-                                        const Point<3>&, const KnnOptions&,
-                                        QueryScratch<3>*,
-                                        std::vector<Neighbor>*, QueryStats*);
-extern template Status KnnSearchInto<4>(const ResidentTree<4>&,
-                                        const Point<4>&, const KnnOptions&,
-                                        QueryScratch<4>*,
-                                        std::vector<Neighbor>*, QueryStats*);
-
-extern template Status KnnSearchBatch<2>(const RTree<2>&, const Point<2>*,
-                                         size_t, const KnnOptions&,
-                                         QueryScratch<2>*, BatchKnnResult*);
-extern template Status KnnSearchBatch<3>(const RTree<3>&, const Point<3>*,
-                                         size_t, const KnnOptions&,
-                                         QueryScratch<3>*, BatchKnnResult*);
-extern template Status KnnSearchBatch<4>(const RTree<4>&, const Point<4>*,
-                                         size_t, const KnnOptions&,
-                                         QueryScratch<4>*, BatchKnnResult*);
-
-extern template Status KnnSearchBatch<2>(const ResidentTree<2>&,
-                                         const Point<2>*, size_t,
+extern template Status KnnSearchBatch<2>(TreeView<2>, const Point<2>*, size_t,
                                          const KnnOptions&, QueryScratch<2>*,
                                          BatchKnnResult*);
-extern template Status KnnSearchBatch<3>(const ResidentTree<3>&,
-                                         const Point<3>*, size_t,
+extern template Status KnnSearchBatch<3>(TreeView<3>, const Point<3>*, size_t,
                                          const KnnOptions&, QueryScratch<3>*,
                                          BatchKnnResult*);
-extern template Status KnnSearchBatch<4>(const ResidentTree<4>&,
-                                         const Point<4>*, size_t,
+extern template Status KnnSearchBatch<4>(TreeView<4>, const Point<4>*, size_t,
                                          const KnnOptions&, QueryScratch<4>*,
                                          BatchKnnResult*);
 

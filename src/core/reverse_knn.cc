@@ -79,25 +79,22 @@ namespace {
 // Phase 1: sector-guided candidate generation by geometry-preserving
 // distance browsing. Fills scratch->geo_items with the candidates in
 // ascending (dist_sq, id) browse order.
-Status CollectCandidates(const NodeAccessor<2>& access, PageId root_page,
-                         bool empty, const Point2& query, uint32_t k,
-                         QueryScratch<2>* scratch, QueryStats* stats) {
-  std::vector<GeoHeapItem<2>>& candidates = scratch->geo_items;
+template <class Access>
+Status CollectCandidates(const Access& access, const Point2& query,
+                         uint32_t k, QueryScratch<2>* scratch,
+                         QueryStats* stats) {
+  std::vector<GeoItem<2>>& candidates = scratch->geo_items;
   candidates.clear();
-  if (empty) return Status::OK();
 
   ReverseKnnSectorFilter filter(query, k);
   auto key = [&query, stats](const SoaBlock<2>& soa, double* keys) {
     MinDistSqBatchSoa(query, soa, keys);
     if (stats != nullptr) stats->distance_computations += soa.n;
   };
-  GeoBrowse<2, decltype(key)> browse(access, root_page, empty, key, scratch,
-                                     stats,
-                                     "reverse knn: node page has bad magic");
-  GeoHeapItem<2> item;
-  for (;;) {
-    SPATIAL_ASSIGN_OR_RETURN(bool more, browse.Next(&item));
-    if (!more) break;
+  GeoBrowse browse(access, key, scratch, stats);
+  browse.Start();
+  GeoItem<2> item;
+  while (browse.Next(&item)) {
     // Pop keys are nondecreasing, so once every sector is closed at this
     // distance nothing deeper in the queue can become a candidate.
     if (filter.Closed(item.dist_sq)) break;
@@ -112,48 +109,49 @@ Status CollectCandidates(const NodeAccessor<2>& access, PageId root_page,
   return Status::OK();
 }
 
-template <class Tree>
-Status ReverseKnnCandidatesImpl(const Tree& tree, const Point2& query,
-                                const ReverseKnnOptions& options,
-                                QueryScratch<2>* scratch,
-                                std::vector<Entry<2>>* out,
-                                QueryStats* stats) {
+}  // namespace
+
+Status ReverseKnnCandidates(TreeView<2> tree, const Point2& query,
+                            const ReverseKnnOptions& options,
+                            QueryScratch<2>* scratch,
+                            std::vector<Entry<2>>* out, QueryStats* stats) {
   SPATIAL_CHECK(scratch != nullptr && out != nullptr);
   SPATIAL_RETURN_IF_ERROR(options.Validate());
   out->clear();
-  SPATIAL_RETURN_IF_ERROR(CollectCandidates(NodeAccessor<2>(tree),
-                                            tree.root_page(), tree.empty(),
-                                            query, options.k, scratch, stats));
-  for (const GeoHeapItem<2>& c : scratch->geo_items) {
+  SPATIAL_RETURN_IF_ERROR(tree.WithAccess([&](const auto& access) {
+    return CollectCandidates(access, query, options.k, scratch, stats);
+  }));
+  for (const GeoItem<2>& c : scratch->geo_items) {
     out->push_back(Entry<2>{c.mbr, c.id});
   }
   return Status::OK();
 }
 
-template <class Tree>
-Status ReverseKnnSearchImpl(const Tree& tree, const Point2& query,
-                            const ReverseKnnOptions& options,
-                            QueryScratch<2>* scratch,
-                            std::vector<Neighbor>* out, QueryStats* stats) {
+Status ReverseKnnSearch(TreeView<2> tree, const Point2& query,
+                        const ReverseKnnOptions& options,
+                        QueryScratch<2>* scratch, std::vector<Neighbor>* out,
+                        QueryStats* stats) {
   SPATIAL_CHECK(scratch != nullptr && out != nullptr);
   SPATIAL_RETURN_IF_ERROR(options.Validate());
   out->clear();
-  SPATIAL_RETURN_IF_ERROR(CollectCandidates(NodeAccessor<2>(tree),
-                                            tree.root_page(), tree.empty(),
-                                            query, options.k, scratch, stats));
+  SPATIAL_RETURN_IF_ERROR(tree.WithAccess([&](const auto& access) {
+    return CollectCandidates(access, query, options.k, scratch, stats);
+  }));
 
-  // Phase 2: exact verification. The nested kNN reuses the same scratch —
-  // it never touches geo_items, and tmp_neighbors is its output vector, so
-  // the whole query stays allocation-free in steady state.
+  // Phase 2: exact verification, one nested kNN query per candidate on
+  // the same tier. The nested kNN reuses the same scratch — it never
+  // touches geo_items, and tmp_neighbors is its output vector, so the
+  // whole query stays allocation-free in steady state.
   KnnOptions knn;
   knn.k = options.k + 1;  // the candidate itself plus up to k others
-  for (const GeoHeapItem<2>& c : scratch->geo_items) {
+  for (const GeoItem<2>& c : scratch->geo_items) {
     if (c.dist_sq == 0.0) {
       out->push_back(Neighbor{c.id, 0.0});
       continue;
     }
-    SPATIAL_RETURN_IF_ERROR(KnnSearchInto(tree, c.mbr.Center(), knn, scratch,
-                                          &scratch->tmp_neighbors, stats));
+    SPATIAL_RETURN_IF_ERROR(KnnSearchInto<2>(tree, c.mbr.Center(), knn,
+                                             scratch, &scratch->tmp_neighbors,
+                                             stats));
     if (ReverseKnnQualifies(scratch->tmp_neighbors, c.id, c.dist_sq,
                             options.k)) {
       out->push_back(Neighbor{c.id, c.dist_sq});
@@ -167,36 +165,6 @@ Status ReverseKnnSearchImpl(const Tree& tree, const Point2& query,
               return a.id < b.id;
             });
   return Status::OK();
-}
-
-}  // namespace
-
-Status ReverseKnnCandidates(const RTree<2>& tree, const Point2& query,
-                            const ReverseKnnOptions& options,
-                            QueryScratch<2>* scratch,
-                            std::vector<Entry<2>>* out, QueryStats* stats) {
-  return ReverseKnnCandidatesImpl(tree, query, options, scratch, out, stats);
-}
-
-Status ReverseKnnCandidates(const ResidentTree<2>& tree, const Point2& query,
-                            const ReverseKnnOptions& options,
-                            QueryScratch<2>* scratch,
-                            std::vector<Entry<2>>* out, QueryStats* stats) {
-  return ReverseKnnCandidatesImpl(tree, query, options, scratch, out, stats);
-}
-
-Status ReverseKnnSearch(const RTree<2>& tree, const Point2& query,
-                        const ReverseKnnOptions& options,
-                        QueryScratch<2>* scratch, std::vector<Neighbor>* out,
-                        QueryStats* stats) {
-  return ReverseKnnSearchImpl(tree, query, options, scratch, out, stats);
-}
-
-Status ReverseKnnSearch(const ResidentTree<2>& tree, const Point2& query,
-                        const ReverseKnnOptions& options,
-                        QueryScratch<2>* scratch, std::vector<Neighbor>* out,
-                        QueryStats* stats) {
-  return ReverseKnnSearchImpl(tree, query, options, scratch, out, stats);
 }
 
 }  // namespace spatial

@@ -7,25 +7,25 @@
 
 #include "common/result.h"
 #include "core/neighbor_buffer.h"
+#include "core/node_access.h"
 #include "core/query_stats.h"
 #include "core/scratch.h"
 #include "geom/point.h"
 #include "rtree/entry.h"
-#include "rtree/rtree.h"
-#include "storage/resident_tree.h"
 
 namespace spatial {
 
 // Reverse k-nearest neighbors (monochromatic, 2-D points): the objects o
 // for which fewer than k *other* objects are strictly closer to o than the
 // query point q is — i.e. the objects that would include q in their own
-// k-NN answer (ties included). k = 1 reproduces ReverseNnSearch exactly.
+// k-NN answer (ties included). k = 1 is the classic reverse nearest
+// neighbor query.
 //
 // Implementation generalizes the Stanoi–Agrawal–El Abbadi sector method
-// (see core/reverse_nn.h and Dawar et al., arXiv:1506.04867):
+// (Dawar et al., arXiv:1506.04867):
 //   1. Partition the plane around q into six 60° sectors and browse
 //      objects in ascending distance (geometry-preserving best-first
-//      browse over either backend). Within one sector any two points are
+//      browse over either tier). Within one sector any two points are
 //      < 60° apart, so by the law of cosines a point with >= k same-sector
 //      points at distance <= its own has those k points strictly closer to
 //      it than q — it cannot be a reverse k-NN. Only each sector's k
@@ -91,11 +91,8 @@ bool ReverseKnnQualifies(const std::vector<Neighbor>& around,
 // verification k-NN must consult the *global* tree, so the router re-runs
 // selection over the union and verifies through cross-shard kNN. Output
 // entries carry the object MBR; their order is ascending (dist_sq, id).
-Status ReverseKnnCandidates(const RTree<2>& tree, const Point2& query,
-                            const ReverseKnnOptions& options,
-                            QueryScratch<2>* scratch,
-                            std::vector<Entry<2>>* out, QueryStats* stats);
-Status ReverseKnnCandidates(const ResidentTree<2>& tree, const Point2& query,
+// `tree` is either tier.
+Status ReverseKnnCandidates(TreeView<2> tree, const Point2& query,
                             const ReverseKnnOptions& options,
                             QueryScratch<2>* scratch,
                             std::vector<Entry<2>>* out, QueryStats* stats);
@@ -103,12 +100,8 @@ Status ReverseKnnCandidates(const ResidentTree<2>& tree, const Point2& query,
 // The full search: candidate generation + exact verification against the
 // same tree. `out` (cleared first) receives the reverse k-NN sorted by
 // ascending (distance, id). Zero steady-state allocations when `scratch`
-// and `out` are reused across queries.
-Status ReverseKnnSearch(const RTree<2>& tree, const Point2& query,
-                        const ReverseKnnOptions& options,
-                        QueryScratch<2>* scratch, std::vector<Neighbor>* out,
-                        QueryStats* stats);
-Status ReverseKnnSearch(const ResidentTree<2>& tree, const Point2& query,
+// and `out` are reused across queries. `tree` is either tier.
+Status ReverseKnnSearch(TreeView<2> tree, const Point2& query,
                         const ReverseKnnOptions& options,
                         QueryScratch<2>* scratch, std::vector<Neighbor>* out,
                         QueryStats* stats);

@@ -82,21 +82,6 @@ struct AblSlot {
   double min_max_dist_sq = 0.0;
 };
 
-// Priority-queue item of the best-first / incremental traversals: either a
-// subtree (keyed by MINDIST) or an object (keyed by its distance).
-struct DistHeapItem {
-  double dist_sq = 0.0;
-  bool is_object = false;
-  uint64_t id = 0;  // object id or child PageId
-
-  // Min-heap on distance under std::push_heap/pop_heap; objects win
-  // distance ties so results are emitted as early as possible.
-  friend bool operator<(const DistHeapItem& a, const DistHeapItem& b) {
-    if (a.dist_sq != b.dist_sq) return a.dist_sq > b.dist_sq;
-    return a.is_object < b.is_object;
-  }
-};
-
 // Child-arena slot of the best-first approximate kNN engine (core/knn.cc):
 // a bare (MINDIST, page) pair. An expanded node's surviving children are
 // appended as one contiguous *frame* of these; the frame is consumed by
@@ -126,23 +111,37 @@ struct KnnFrameHeapItem {
   }
 };
 
-// Geometry-preserving browse-queue item (reverse-kNN, NN skyline): like
-// DistHeapItem but carrying the MBR, because those traversals need the
-// popped box's geometry (sector assignment, per-source dominance tests)
-// after the node that held it is long gone. Same min-heap ordering, with
-// id as the final tie-break so pop order is deterministic per tree shape.
-template <int D>
-struct GeoHeapItem {
+// Priority-queue entry of the best-first browse (core/geo_browse.h: the
+// incremental k-NN iterator, reverse k-NN, NN skyline): a subtree keyed by
+// MINDIST or an object keyed by its distance. Its box sits in
+// QueryScratch::geo_boxes at index `box` rather than in the entry, which
+// keeps heap moves at 24 bytes — carrying the 2-D box inline (56 bytes)
+// made the incremental scan measurably slower. Min-heap under
+// std::push_heap/pop_heap; objects win distance ties so results are
+// emitted as early as possible, and id is the final tie-break so pop order
+// is deterministic per tree shape.
+struct GeoHeapEntry {
   double dist_sq = 0.0;
   bool is_object = false;
-  uint64_t id = 0;  // object id or child PageId
-  Rect<D> mbr;
+  uint32_t box = 0;  // index into QueryScratch::geo_boxes
+  uint64_t id = 0;   // object id or child PageId
 
-  friend bool operator<(const GeoHeapItem& a, const GeoHeapItem& b) {
+  friend bool operator<(const GeoHeapEntry& a, const GeoHeapEntry& b) {
     if (a.dist_sq != b.dist_sq) return a.dist_sq > b.dist_sq;
     if (a.is_object != b.is_object) return a.is_object < b.is_object;
     return a.id > b.id;
   }
+};
+
+// A browse entry with its box, as GeoBrowse::Next hands it out: reverse
+// k-NN and the skyline need the popped box's geometry (sector assignment,
+// per-source dominance tests) after the node that held it is long gone.
+template <int D>
+struct GeoItem {
+  double dist_sq = 0.0;
+  bool is_object = false;
+  uint64_t id = 0;  // object id or child PageId
+  Rect<D> mbr;
 };
 
 // The arena proper. Members are deliberately public: the traversals in
@@ -191,21 +190,20 @@ struct QueryScratch {
   // appends its slots, and truncates back on exit.
   std::vector<AblSlot> abl;
 
-  // Best-first / incremental traversal queue storage.
-  std::vector<DistHeapItem> heap;
-
   // Frame queue and child arena of the best-first approximate kNN engine.
   std::vector<KnnFrameHeapItem> knn_heap;
   std::vector<KnnChildSlot> knn_children;
 
-  // Geometry-preserving browse queue and staging vectors of the
-  // reverse-kNN and NN-skyline traversals (core/reverse_knn.h,
-  // core/skyline.h). geo_items stages candidates / skyline members;
-  // geo_dists holds their per-source distance vectors (skyline);
-  // tmp_neighbors receives the nested verification kNN answers (RkNN)
-  // so the outer query never allocates in steady state.
-  std::vector<GeoHeapItem<D>> geo_heap;
-  std::vector<GeoHeapItem<D>> geo_items;
+  // Best-first browse queue (core/geo_browse.h) with its entries' boxes,
+  // and the staging vectors of the reverse-kNN and NN-skyline traversals
+  // (core/reverse_knn.h, core/skyline.h). geo_items stages candidates /
+  // skyline members; geo_dists holds their per-source distance vectors
+  // (skyline); tmp_neighbors receives the nested verification kNN answers
+  // (RkNN) so the outer query never allocates in steady state.
+  std::vector<GeoHeapEntry> geo_heap;
+  std::vector<Rect<D>> geo_boxes;
+  std::vector<uint32_t> geo_free_boxes;  // geo_boxes slots of popped entries
+  std::vector<GeoItem<D>> geo_items;
   std::vector<double> geo_dists;
   std::vector<Neighbor> tmp_neighbors;
 

@@ -4,29 +4,27 @@
 
 #include "common/macros.h"
 #include "core/geo_browse.h"
-#include "core/node_access.h"
 #include "geom/metrics_simd.h"
 
 namespace spatial {
 namespace {
 
-template <int D>
-Status NnSkylineImpl(const NodeAccessor<D>& access, PageId root_page,
-                     bool empty, const Point<D>* sources, size_t num_sources,
-                     QueryScratch<D>* scratch, std::vector<Entry<D>>* out,
-                     QueryStats* stats) {
+template <int D, class Access>
+Status NnSkylineImpl(const Access& access, const Point<D>* sources,
+                     size_t num_sources, QueryScratch<D>* scratch,
+                     std::vector<Entry<D>>* out, QueryStats* stats) {
   SPATIAL_CHECK(scratch != nullptr && out != nullptr);
   if (num_sources < 1 || sources == nullptr) {
     return Status::InvalidArgument(
         "nn-skyline needs at least one source point");
   }
   out->clear();
-  if (empty) return Status::OK();
+  if (access.empty()) return Status::OK();
 
   // Skyline members: geometry + ordering key in geo_items, the parallel
   // per-source distance vectors packed m-at-a-time in geo_dists (member j
   // owns geo_dists[j*m .. (j+1)*m)).
-  std::vector<GeoHeapItem<D>>& members = scratch->geo_items;
+  std::vector<GeoItem<D>>& members = scratch->geo_items;
   std::vector<double>& dists = scratch->geo_dists;
   members.clear();
   dists.clear();
@@ -49,14 +47,11 @@ Status NnSkylineImpl(const NodeAccessor<D>& access, PageId root_page,
       stats->distance_computations += static_cast<uint64_t>(n) * m;
     }
   };
-  GeoBrowse<D, decltype(key)> browse(access, root_page, empty, key, scratch,
-                                     stats,
-                                     "nn skyline: node page has bad magic");
+  GeoBrowse browse(access, key, scratch, stats);
+  browse.Start();
 
-  GeoHeapItem<D> item;
-  for (;;) {
-    SPATIAL_ASSIGN_OR_RETURN(bool more, browse.Next(&item));
-    if (!more) break;
+  GeoItem<D> item;
+  while (browse.Next(&item)) {
     // The popped box's per-source vector is staged at the tail of the
     // member pool; kept if the object is accepted, rolled back otherwise.
     const size_t off = dists.size();
@@ -94,11 +89,11 @@ Status NnSkylineImpl(const NodeAccessor<D>& access, PageId root_page,
   // incomparable equal-sum objects are tree-shape dependent, the sorted
   // output is not — the cross-shard merge sorts identically.
   std::sort(members.begin(), members.end(),
-            [](const GeoHeapItem<D>& a, const GeoHeapItem<D>& b) {
+            [](const GeoItem<D>& a, const GeoItem<D>& b) {
               if (a.dist_sq != b.dist_sq) return a.dist_sq < b.dist_sq;
               return a.id < b.id;
             });
-  for (const GeoHeapItem<D>& member : members) {
+  for (const GeoItem<D>& member : members) {
     out->push_back(Entry<D>{member.mbr, member.id});
   }
   return Status::OK();
@@ -107,40 +102,23 @@ Status NnSkylineImpl(const NodeAccessor<D>& access, PageId root_page,
 }  // namespace
 
 template <int D>
-Status NnSkylineSearch(const RTree<D>& tree, const Point<D>* sources,
+Status NnSkylineSearch(TreeView<D> tree, const Point<D>* sources,
                        size_t num_sources, QueryScratch<D>* scratch,
                        std::vector<Entry<D>>* out, QueryStats* stats) {
-  return NnSkylineImpl<D>(NodeAccessor<D>(tree), tree.root_page(),
-                          tree.empty(), sources, num_sources, scratch, out,
-                          stats);
+  return tree.WithAccess([&](const auto& access) {
+    return NnSkylineImpl<D>(access, sources, num_sources, scratch, out,
+                            stats);
+  });
 }
 
-template <int D>
-Status NnSkylineSearch(const ResidentTree<D>& tree, const Point<D>* sources,
-                       size_t num_sources, QueryScratch<D>* scratch,
-                       std::vector<Entry<D>>* out, QueryStats* stats) {
-  return NnSkylineImpl<D>(NodeAccessor<D>(tree), tree.root_page(),
-                          tree.empty(), sources, num_sources, scratch, out,
-                          stats);
-}
-
-template Status NnSkylineSearch<2>(const RTree<2>&, const Point<2>*, size_t,
+template Status NnSkylineSearch<2>(TreeView<2>, const Point<2>*, size_t,
                                    QueryScratch<2>*, std::vector<Entry<2>>*,
                                    QueryStats*);
-template Status NnSkylineSearch<3>(const RTree<3>&, const Point<3>*, size_t,
+template Status NnSkylineSearch<3>(TreeView<3>, const Point<3>*, size_t,
                                    QueryScratch<3>*, std::vector<Entry<3>>*,
                                    QueryStats*);
-template Status NnSkylineSearch<4>(const RTree<4>&, const Point<4>*, size_t,
+template Status NnSkylineSearch<4>(TreeView<4>, const Point<4>*, size_t,
                                    QueryScratch<4>*, std::vector<Entry<4>>*,
                                    QueryStats*);
-template Status NnSkylineSearch<2>(const ResidentTree<2>&, const Point<2>*,
-                                   size_t, QueryScratch<2>*,
-                                   std::vector<Entry<2>>*, QueryStats*);
-template Status NnSkylineSearch<3>(const ResidentTree<3>&, const Point<3>*,
-                                   size_t, QueryScratch<3>*,
-                                   std::vector<Entry<3>>*, QueryStats*);
-template Status NnSkylineSearch<4>(const ResidentTree<4>&, const Point<4>*,
-                                   size_t, QueryScratch<4>*,
-                                   std::vector<Entry<4>>*, QueryStats*);
 
 }  // namespace spatial

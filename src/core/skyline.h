@@ -6,14 +6,13 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/node_access.h"
 #include "core/query_stats.h"
 #include "core/scratch.h"
 #include "geom/metrics.h"
 #include "geom/point.h"
 #include "geom/rect.h"
 #include "rtree/entry.h"
-#include "rtree/rtree.h"
-#include "storage/resident_tree.h"
 
 namespace spatial {
 
@@ -30,7 +29,7 @@ namespace spatial {
 // that could dominate them, so testing each popped object against the
 // current skyline set is exact; a node is pruned iff some skyline member
 // dominates the node's per-source MINDIST vector (then it dominates every
-// object inside). Exact for all combinations, both backends, D = 2..4.
+// object inside). Exact for all combinations, both tiers, D = 2..4.
 
 // True iff distance vector a (n entries) dominates b: a[i] <= b[i] for
 // all i with at least one strict. Shared by the core filter, the router's
@@ -68,44 +67,25 @@ inline double SkylineDistSum(const Point<D>* sources, size_t num_sources,
   return sum;
 }
 
-// Computes the NN skyline of `tree` for the given sources. `out` (cleared
-// first) receives the skyline objects with their MBRs, sorted by ascending
-// (distance-sum, id). Zero steady-state allocations when `scratch` and
-// `out` are reused across queries. `stats` may be null.
+// Computes the NN skyline of `tree` (either tier) for the given sources.
+// `out` (cleared first) receives the skyline objects with their MBRs,
+// sorted by ascending (distance-sum, id). Zero steady-state allocations
+// when `scratch` and `out` are reused across queries. `stats` may be null.
 template <int D>
-Status NnSkylineSearch(const RTree<D>& tree, const Point<D>* sources,
-                       size_t num_sources, QueryScratch<D>* scratch,
-                       std::vector<Entry<D>>* out, QueryStats* stats);
-template <int D>
-Status NnSkylineSearch(const ResidentTree<D>& tree, const Point<D>* sources,
+Status NnSkylineSearch(TreeView<D> tree, const Point<D>* sources,
                        size_t num_sources, QueryScratch<D>* scratch,
                        std::vector<Entry<D>>* out, QueryStats* stats);
 
-extern template Status NnSkylineSearch<2>(const RTree<2>&, const Point<2>*,
+extern template Status NnSkylineSearch<2>(TreeView<2>, const Point<2>*,
                                           size_t, QueryScratch<2>*,
                                           std::vector<Entry<2>>*,
                                           QueryStats*);
-extern template Status NnSkylineSearch<3>(const RTree<3>&, const Point<3>*,
+extern template Status NnSkylineSearch<3>(TreeView<3>, const Point<3>*,
                                           size_t, QueryScratch<3>*,
                                           std::vector<Entry<3>>*,
                                           QueryStats*);
-extern template Status NnSkylineSearch<4>(const RTree<4>&, const Point<4>*,
+extern template Status NnSkylineSearch<4>(TreeView<4>, const Point<4>*,
                                           size_t, QueryScratch<4>*,
-                                          std::vector<Entry<4>>*,
-                                          QueryStats*);
-extern template Status NnSkylineSearch<2>(const ResidentTree<2>&,
-                                          const Point<2>*, size_t,
-                                          QueryScratch<2>*,
-                                          std::vector<Entry<2>>*,
-                                          QueryStats*);
-extern template Status NnSkylineSearch<3>(const ResidentTree<3>&,
-                                          const Point<3>*, size_t,
-                                          QueryScratch<3>*,
-                                          std::vector<Entry<3>>*,
-                                          QueryStats*);
-extern template Status NnSkylineSearch<4>(const ResidentTree<4>&,
-                                          const Point<4>*, size_t,
-                                          QueryScratch<4>*,
                                           std::vector<Entry<4>>*,
                                           QueryStats*);
 

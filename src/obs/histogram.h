@@ -1,8 +1,11 @@
 #ifndef SPATIAL_OBS_HISTOGRAM_H_
 #define SPATIAL_OBS_HISTOGRAM_H_
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 
 namespace spatial {
 namespace obs {
@@ -49,9 +52,14 @@ struct HistogramSnapshot {
     if (total_count == 0) return 0;
     if (p < 0.0) p = 0.0;
     if (p > 1.0) p = 1.0;
-    // Rank of the percentile observation, 1-based ceiling.
-    uint64_t rank = static_cast<uint64_t>(p * static_cast<double>(total_count));
-    if (rank == 0) rank = 1;
+    // Nearest rank: ceil(p * N), clamped to [1, N]. The product is shrunk
+    // by a few ulps first because p itself is rounded (0.07 is stored a
+    // hair above 7/100), so p * N can land just above the integer it
+    // stands for, and a plain ceil would skip to the next rank.
+    const double scaled = p * static_cast<double>(total_count) *
+                          (1.0 - 4 * std::numeric_limits<double>::epsilon());
+    uint64_t rank = static_cast<uint64_t>(std::ceil(scaled));
+    rank = std::clamp<uint64_t>(rank, 1, total_count);
     uint64_t seen = 0;
     for (int b = 0; b < kHistogramBuckets; ++b) {
       seen += counts[b];
@@ -75,10 +83,6 @@ struct HistogramSnapshot {
     return b >= kHistogramBuckets - 1 ? ~uint64_t{0}
                                       : (uint64_t{1} << b) - 1;
   }
-
-  // Compatibility spellings from the retired service-local histogram.
-  uint64_t PercentileNs(double p) const { return Percentile(p); }
-  double MeanNs() const { return Mean(); }
 };
 
 class PowerHistogram {

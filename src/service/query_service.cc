@@ -376,58 +376,88 @@ void QueryService<D>::RunWriteBatch(std::vector<Task>* batch) {
   }
 }
 
+namespace {
+
+// Rejects a malformed read before it reaches a tier (and is counted on
+// one). The exact kinds must stay exact: approximation knobs ride only on
+// kApproxKnn, whose metrics and contract are separate by design.
+template <int D>
+Status CheckRequest(const QueryRequest<D>& request) {
+  const bool approx_knobs_set =
+      request.knn.epsilon != 0.0 || request.knn.max_visits != 0;
+  switch (request.kind) {
+    case QueryKind::kKnn:
+    case QueryKind::kBatchKnn:
+      if (approx_knobs_set) {
+        return Status::InvalidArgument(
+            "epsilon/max_visits require the approx-knn kind");
+      }
+      break;
+    case QueryKind::kConstrainedKnn:
+      if (approx_knobs_set ||
+          request.knn.max_distance !=
+              std::numeric_limits<double>::infinity()) {
+        return Status::InvalidArgument(
+            "constrained kNN supports none of epsilon/max_visits/"
+            "max_distance");
+      }
+      break;
+    case QueryKind::kTopK:
+      if (request.top_k < 1) {
+        return Status::InvalidArgument("top_k must be >= 1");
+      }
+      break;
+    case QueryKind::kReverseKnn:
+      // The sector construction is planar (core/reverse_knn.h); surface
+      // that as a client error instead of the historical link error.
+      if (D != 2) {
+        return Status::InvalidArgument(
+            "reverse-knn supports 2-D services only");
+      }
+      break;
+    default:
+      break;
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 template <int D>
 QueryResponse<D> QueryService<D>::Dispatch(Worker* worker,
                                            const QueryRequest<D>& request,
                                            const ResidentTree<D>* resident) {
   QueryResponse<D> response;
+  response.status = CheckRequest(request);
+  if (!response.ok()) return response;
+  if (request.kind == QueryKind::kBatchKnn && request.batch_queries.empty()) {
+    response.batch_offsets.push_back(0);
+    return response;
+  }
   const RTree<D>& tree = *worker->tree;
-  const int kind = static_cast<int>(request.kind);
-  // Tier routing for resident-eligible kinds: one branch per query, and
-  // the fallback counter records every eligible query the tier *could not*
-  // serve (disabled tiers count nothing — the gap is not a fallback).
-  const auto route = [&](auto&& fast, auto&& paged) {
+  // The query's one tier decision. Resident-eligible kinds run on the
+  // arena when it matches the pinned snapshot; the fallback counter
+  // records every eligible query the tier *could not* serve (a disabled
+  // tier counts nothing — the gap is not a fallback).
+  TreeView<D> view = tree;
+  if (IsResidentEligible(request.kind)) {
+    const int kind = static_cast<int>(request.kind);
     if (resident != nullptr) {
       ++worker->tier_hits[kind];
-      fast();
-    } else {
-      if (options_.resident_tier) ++worker->tier_fallbacks[kind];
-      paged();
+      view = *resident;
+    } else if (options_.resident_tier) {
+      ++worker->tier_fallbacks[kind];
     }
-  };
-  // The exact kinds must stay exact: approximation knobs ride only on
-  // kApproxKnn, whose metrics and contract are separate by design.
-  const bool approx_knobs_set =
-      request.knn.epsilon != 0.0 || request.knn.max_visits != 0;
+  }
   switch (request.kind) {
-    case QueryKind::kKnn: {
-      if (approx_knobs_set) {
-        response.status = Status::InvalidArgument(
-            "epsilon/max_visits require the approx-knn kind");
-        return response;
-      }
-      route(
-          [&] {
-            response.status = KnnSearchInto<D>(
-                *resident, request.query, request.knn, &worker->scratch,
-                &response.neighbors, &response.stats);
-          },
-          [&] {
-            response.status = KnnSearchInto<D>(
-                tree, request.query, request.knn, &worker->scratch,
-                &response.neighbors, &response.stats);
-          });
+    case QueryKind::kKnn:
+    case QueryKind::kApproxKnn:
+      response.status =
+          KnnSearchInto<D>(view, request.query, request.knn,
+                           &worker->scratch, &response.neighbors,
+                           &response.stats);
       return response;
-    }
     case QueryKind::kConstrainedKnn: {
-      if (approx_knobs_set ||
-          request.knn.max_distance !=
-              std::numeric_limits<double>::infinity()) {
-        response.status = Status::InvalidArgument(
-            "constrained kNN supports none of epsilon/max_visits/"
-            "max_distance");
-        return response;
-      }
       auto result = ConstrainedKnnSearch<D>(tree, request.query,
                                             request.window, request.knn,
                                             &response.stats);
@@ -438,63 +468,24 @@ QueryResponse<D> QueryService<D>::Dispatch(Worker* worker,
       }
       return response;
     }
-    case QueryKind::kRange: {
+    case QueryKind::kRange:
       response.status = tree.Search(request.window, &response.entries);
       return response;
-    }
     case QueryKind::kTopK: {
-      if (request.top_k < 1) {
-        response.status = Status::InvalidArgument("top_k must be >= 1");
-        return response;
+      auto result = BestFirstKnn<D>(view, request.query, request.top_k,
+                                    &response.stats, &worker->scratch);
+      if (result.ok()) {
+        response.neighbors = std::move(result).value();
+      } else {
+        response.status = result.status();
       }
-      const auto drain = [&](IncrementalKnn<D>& scan) {
-        for (uint32_t i = 0; i < request.top_k; ++i) {
-          auto next = scan.Next();
-          if (!next.ok()) {
-            response.status = next.status();
-            return;
-          }
-          if (!next->has_value()) break;  // tree exhausted
-          response.neighbors.push_back(**next);
-        }
-      };
-      route(
-          [&] {
-            IncrementalKnn<D> scan(*resident, request.query, &worker->scratch,
-                                   &response.stats);
-            drain(scan);
-          },
-          [&] {
-            IncrementalKnn<D> scan(tree, request.query, &worker->scratch,
-                                   &response.stats);
-            drain(scan);
-          });
       return response;
     }
     case QueryKind::kBatchKnn: {
-      if (approx_knobs_set) {
-        response.status = Status::InvalidArgument(
-            "epsilon/max_visits require the approx-knn kind");
-        return response;
-      }
-      if (request.batch_queries.empty()) {
-        response.batch_offsets.push_back(0);
-        return response;
-      }
       BatchKnnResult batch;
-      route(
-          [&] {
-            response.status = KnnSearchBatch<D>(
-                *resident, request.batch_queries.data(),
-                request.batch_queries.size(), request.knn, &worker->scratch,
-                &batch);
-          },
-          [&] {
-            response.status = KnnSearchBatch<D>(
-                tree, request.batch_queries.data(),
-                request.batch_queries.size(), request.knn, &worker->scratch,
-                &batch);
-          });
+      response.status = KnnSearchBatch<D>(
+          view, request.batch_queries.data(), request.batch_queries.size(),
+          request.knn, &worker->scratch, &batch);
       if (response.status.ok()) {
         response.neighbors = std::move(batch.neighbors);
         response.batch_offsets = std::move(batch.offsets);
@@ -502,79 +493,27 @@ QueryResponse<D> QueryService<D>::Dispatch(Worker* worker,
       }
       return response;
     }
-    case QueryKind::kReverseKnn: {
-      if constexpr (D == 2) {
+    case QueryKind::kReverseKnn:
+      if constexpr (D == 2) {  // CheckRequest rejected the rest
         ReverseKnnOptions rknn;
         rknn.k = request.knn.k;
-        if (request.rknn_candidates_only) {
-          // Shard scatter path: sector candidates only, with geometry —
-          // the router verifies against the global tree itself.
-          route(
-              [&] {
-                response.status =
-                    ReverseKnnCandidates(*resident, request.query, rknn,
-                                         &worker->scratch, &response.entries,
-                                         &response.stats);
-              },
-              [&] {
-                response.status =
-                    ReverseKnnCandidates(tree, request.query, rknn,
-                                         &worker->scratch, &response.entries,
-                                         &response.stats);
-              });
-        } else {
-          route(
-              [&] {
-                response.status =
-                    ReverseKnnSearch(*resident, request.query, rknn,
-                                     &worker->scratch, &response.neighbors,
-                                     &response.stats);
-              },
-              [&] {
-                response.status =
-                    ReverseKnnSearch(tree, request.query, rknn,
-                                     &worker->scratch, &response.neighbors,
-                                     &response.stats);
-              });
-        }
-      } else {
-        // The sector construction is planar (core/reverse_knn.h); surface
-        // that as a client error instead of the historical link error.
-        response.status = Status::InvalidArgument(
-            "reverse-knn supports 2-D services only");
+        // The shard scatter path asks for sector candidates only, with
+        // geometry — the router verifies against the global tree itself.
+        response.status =
+            request.rknn_candidates_only
+                ? ReverseKnnCandidates(view, request.query, rknn,
+                                       &worker->scratch, &response.entries,
+                                       &response.stats)
+                : ReverseKnnSearch(view, request.query, rknn,
+                                   &worker->scratch, &response.neighbors,
+                                   &response.stats);
       }
       return response;
-    }
-    case QueryKind::kNnSkyline: {
-      route(
-          [&] {
-            response.status = NnSkylineSearch<D>(
-                *resident, request.batch_queries.data(),
-                request.batch_queries.size(), &worker->scratch,
-                &response.entries, &response.stats);
-          },
-          [&] {
-            response.status = NnSkylineSearch<D>(
-                tree, request.batch_queries.data(),
-                request.batch_queries.size(), &worker->scratch,
-                &response.entries, &response.stats);
-          });
+    case QueryKind::kNnSkyline:
+      response.status = NnSkylineSearch<D>(
+          view, request.batch_queries.data(), request.batch_queries.size(),
+          &worker->scratch, &response.entries, &response.stats);
       return response;
-    }
-    case QueryKind::kApproxKnn: {
-      route(
-          [&] {
-            response.status = KnnSearchInto<D>(
-                *resident, request.query, request.knn, &worker->scratch,
-                &response.neighbors, &response.stats);
-          },
-          [&] {
-            response.status = KnnSearchInto<D>(
-                tree, request.query, request.knn, &worker->scratch,
-                &response.neighbors, &response.stats);
-          });
-      return response;
-    }
     case QueryKind::kInsert:
     case QueryKind::kDelete:
     case QueryKind::kCheckpoint:

@@ -50,16 +50,16 @@ namespace spatial {
 //     thread-safe ReadPageConcurrent (pread on files, stable-memory copy
 //     in-memory).
 //   * Per-query latency lands in a lock-free per-worker histogram;
-//     Stats() merges workers into one ServiceStats (percentiles, QPS, and
-//     the paper's page-accesses-per-query, now measurable under load).
+//     Snapshot() merges workers into one ServiceStats (percentiles, QPS,
+//     and the paper's page-accesses-per-query, now measurable under load).
 //
 // Usage:
 //   auto svc = QueryService<2>::Open("points.sdb", 1024, {});
 //   auto future = (*svc)->Submit(QueryRequest<2>::Knn({{0.5, 0.5}}, 8));
 //   QueryResponse<2> resp = future.get();
 //
-// Submit may be called from any number of threads. Stats() may be called
-// at any time; counters are exact once every submitted future has
+// Submit may be called from any number of threads. Snapshot() may be
+// called at any time; counters are exact once every submitted future has
 // resolved. The destructor drains outstanding requests and joins the
 // workers.
 template <int D>
@@ -79,10 +79,10 @@ class QueryService {
     uint32_t simulated_read_latency_us = 0;
 
     // Memory-resident fast path (docs/PERF.md "Resident tier"): compile
-    // the served tree into a pinned SoA arena at startup and route
-    // kKnn/kTopK/kBatchKnn through it — no buffer-pool pins, no page
-    // translation, no per-visit transpose, answers and visit order
-    // bit-identical to the paged path. Serving mode drops the compiled
+    // the served tree into a pinned SoA arena at startup and route every
+    // resident-eligible kind (kQueryKindTable) through it — no buffer-pool
+    // pins, no page translation, no per-visit transpose, answers and visit
+    // order bit-identical to the paged path. Serving mode drops the compiled
     // tree whenever a write publishes a new version and falls back to the
     // paged path until RecompileResidentTier() is called; a tree whose
     // arena would exceed resident_max_bytes also stays paged. Compile
@@ -152,9 +152,6 @@ class QueryService {
   // futures have resolved; during load, counters may be torn *across*
   // fields (never within one).
   ServiceStats Snapshot() const;
-
-  // Historical spelling of Snapshot().
-  ServiceStats Stats() const { return Snapshot(); }
 
   // Per-kind traversal counters summed over workers (live, like
   // Snapshot()).
@@ -243,8 +240,8 @@ class QueryService {
     // with no synchronization at all. Serving workers instead take a
     // shared_ptr copy per query (the tree can be invalidated under them).
     const ResidentTree<D>* resident_fixed = nullptr;
-    // Tier routing counters for resident-eligible kinds (kKnn, kTopK,
-    // kBatchKnn): served from the arena vs fell back to the paged path.
+    // Tier routing counters for resident-eligible kinds (kQueryKindTable):
+    // served from the arena vs fell back to the paged path.
     obs::StatCounter tier_hits[kNumQueryKinds];
     obs::StatCounter tier_fallbacks[kNumQueryKinds];
   };

@@ -12,11 +12,10 @@ namespace spatial {
 // Aggregated view over every worker of a QueryService: the per-worker
 // IoStats (physical reads through the private disk views), BufferStats
 // (logical fetches — the paper's "page accesses"), algorithm counters, and
-// the merged latency distribution. Produced by QueryService::Snapshot()
-// (of which Stats() is the historical spelling) — safe to take live while
-// workers run; every source cell is a relaxed-atomic single-writer
-// counter, so a concurrent snapshot is torn at worst across counters,
-// never within one.
+// the merged latency distribution. Produced by QueryService::Snapshot() —
+// safe to take live while workers run; every source cell is a
+// relaxed-atomic single-writer counter, so a concurrent snapshot is torn
+// at worst across counters, never within one.
 struct ServiceStats {
   uint32_t workers = 0;
   uint64_t queries_ok = 0;

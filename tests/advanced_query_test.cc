@@ -12,62 +12,24 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/knn.h"
 #include "core/reverse_knn.h"
-#include "core/reverse_nn.h"
 #include "core/scratch.h"
 #include "core/skyline.h"
 #include "data/clustered.h"
 #include "data/dataset.h"
 #include "data/uniform.h"
 #include "db/spatial_db.h"
-#include "rtree/bulk_load.h"
 #include "service/query_service.h"
-#include "storage/resident_tree.h"
+#include "tests/dual_backend.h"
 #include "tests/reference.h"
 #include "tests/test_util.h"
 
 namespace spatial {
 namespace {
-
-// An STR-packed tree plus its compiled resident twin, over the same data.
-template <int D>
-struct DualBackend {
-  DiskManager disk{1024};
-  BufferPool pool;
-  std::optional<RTree<D>> tree;
-  std::optional<ResidentTree<D>> resident;
-  std::vector<Entry<D>> data;
-
-  explicit DualBackend(std::vector<Entry<D>> entries)
-      : pool(&disk, 4096), data(std::move(entries)) {
-    auto loaded =
-        BulkLoad<D>(&pool, RTreeOptions{}, data, BulkLoadMethod::kStr);
-    ASSERT_OK(loaded.status());
-    tree.emplace(std::move(loaded).value());
-    auto compiled = ResidentTree<D>::Compile(&pool, tree->root_page(),
-                                             tree->size(), {});
-    ASSERT_OK(compiled.status());
-    resident.emplace(std::move(compiled).value());
-  }
-
-  static void ASSERT_OK(const Status& s) {
-    ASSERT_TRUE(s.ok()) << s.ToString();
-  }
-};
-
-void ExpectNeighborsByteIdentical(const std::vector<Neighbor>& got,
-                                  const std::vector<Neighbor>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  if (!got.empty()) {
-    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
-                             got.size() * sizeof(Neighbor)));
-  }
-}
 
 template <int D>
 void ExpectEntriesByteIdentical(const std::vector<Entry<D>>& got,
@@ -134,25 +96,6 @@ TEST_P(ReverseKnnPropertyTest, MatchesBruteForceClustered) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReverseKnnPropertyTest,
                          ::testing::Values(5u, 55u, 555u));
-
-TEST(ReverseKnnTest, K1MatchesLegacyReverseNn) {
-  Rng rng(17);
-  DualBackend<2> index(
-      MakePointEntries(GenerateUniform<2>(800, UnitBounds<2>(), &rng)));
-  QueryScratch<2> scratch;
-  std::vector<Neighbor> got;
-  for (int trial = 0; trial < 20; ++trial) {
-    const Point2 q{{rng.Uniform(0, 1), rng.Uniform(0, 1)}};
-    auto legacy = ReverseNnSearch<2>(*index.tree, q, nullptr);
-    ASSERT_TRUE(legacy.ok());
-    std::sort(legacy->begin(), legacy->end(), RefNeighborLess);
-    ASSERT_TRUE(
-        ReverseKnnSearch(*index.tree, q, ReverseKnnOptions{}, &scratch, &got,
-                         nullptr)
-            .ok());
-    ExpectNeighborsByteIdentical(got, *legacy);
-  }
-}
 
 TEST(ReverseKnnTest, QueryOnDataPointAlwaysQualifiesIt) {
   DualBackend<2> index({{Rect2::FromPoint({{0.5, 0.5}}), 1},

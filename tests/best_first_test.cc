@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "core/best_first.h"
+#include "core/incremental.h"
 #include "core/knn.h"
 #include "data/uniform.h"
 #include "data/workload.h"

@@ -3,12 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
-#include "core/best_first.h"
+#include "core/incremental.h"
 #include "core/knn.h"
 #include "data/dataset.h"
+#include "data/uniform.h"
 #include "rtree/validator.h"
 #include "tests/test_util.h"
 
@@ -144,6 +146,19 @@ TEST(EdgeCaseTest, BestFirstOnDuplicatePoints) {
   auto result = BestFirstKnn<2>(*index.tree, {{0.25, 0.75}}, 20, nullptr);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 20u);
+}
+
+TEST(EdgeCaseTest, BestFirstWithUnboundedKReturnsWholeTree) {
+  // Nothing is sized by k up front, so k = UINT32_MAX (what an uncapped
+  // wire top_k can carry) just drains the tree.
+  TestIndex2D index;
+  Rng rng(65);
+  index.InsertAll(
+      MakePointEntries(GenerateUniform<2>(50, UnitBounds<2>(), &rng)));
+  auto result = BestFirstKnn<2>(*index.tree, {{0.5, 0.5}},
+                                std::numeric_limits<uint32_t>::max(), nullptr);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->size(), 50u);
 }
 
 TEST(EdgeCaseTest, AlternatingGrowShrinkAroundRootTransitions) {

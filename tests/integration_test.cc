@@ -9,7 +9,7 @@
 #include "baselines/grid_file.h"
 #include "baselines/range_expand.h"
 #include "bench_util/experiment.h"
-#include "core/best_first.h"
+#include "core/incremental.h"
 #include "core/knn.h"
 #include "data/tiger_like.h"
 #include "data/uniform.h"

@@ -93,17 +93,17 @@ TEST(LatencySnapshotTest, MergeAndPercentiles) {
 
   // p50 falls in the fast buckets, p99 in the slow ones. Buckets are
   // power-of-two wide, so compare against bucket bounds, not exact values.
-  EXPECT_LT(merged.PercentileNs(0.50), 2048u);
-  EXPECT_GE(merged.PercentileNs(0.99), 524288u);
-  EXPECT_GE(merged.MeanNs(), 1000.0);
+  EXPECT_LT(merged.Percentile(0.50), 2048u);
+  EXPECT_GE(merged.Percentile(0.99), 524288u);
+  EXPECT_GE(merged.Mean(), 1000.0);
 }
 
 TEST(LatencySnapshotTest, EmptyHistogram) {
   LatencyHistogram h;
   LatencySnapshot s = h.Snapshot();
   EXPECT_EQ(s.total_count, 0u);
-  EXPECT_EQ(s.PercentileNs(0.5), 0u);
-  EXPECT_DOUBLE_EQ(s.MeanNs(), 0.0);
+  EXPECT_EQ(s.Percentile(0.5), 0u);
+  EXPECT_DOUBLE_EQ(s.Mean(), 0.0);
 }
 
 TEST(LatencySnapshotTest, ResetClears) {

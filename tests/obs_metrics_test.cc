@@ -142,6 +142,36 @@ TEST(HistogramTest, SnapshotAndPercentiles) {
   EXPECT_NEAR(s.Mean(), (100.0 * 1000.0 + 1e6) / 101.0, 1.0);
 }
 
+// Percentile is the nearest rank ceil(p * N): with three samples p50 is
+// the second, and with ten samples p95 and p99 are the tenth.
+TEST(HistogramTest, PercentileIsNearestRankCeiling) {
+  PowerHistogram three;
+  for (uint64_t v : {uint64_t{1}, uint64_t{1000}, uint64_t{1'000'000}}) {
+    three.Record(v);
+  }
+  EXPECT_EQ(three.Snapshot().Percentile(0.5), 1023u);
+
+  PowerHistogram ten;
+  for (int i = 0; i < 9; ++i) ten.Record(1000);
+  ten.Record(1'000'000);  // the only slow sample: bucket [2^19, 2^20)
+  const HistogramSnapshot s = ten.Snapshot();
+  EXPECT_EQ(s.Percentile(0.95), (uint64_t{1} << 20) - 1);
+  EXPECT_EQ(s.Percentile(0.99), (uint64_t{1} << 20) - 1);
+  EXPECT_EQ(s.Percentile(0.9), 1023u);
+  EXPECT_EQ(s.Percentile(0.0), 1023u);  // rank clamps to 1
+}
+
+// 0.07 * 100 evaluates to 7.000000000000001; the rank must still be 7.
+TEST(HistogramTest, PercentileRankSurvivesProductRounding) {
+  PowerHistogram h;
+  for (int i = 0; i < 7; ++i) h.Record(1);
+  for (int i = 0; i < 93; ++i) h.Record(1000);
+  const HistogramSnapshot s = h.Snapshot();
+  ASSERT_GT(0.07 * 100.0, 7.0);
+  EXPECT_EQ(s.Percentile(0.07), 1u);
+  EXPECT_EQ(s.Percentile(0.08), 1023u);
+}
+
 TEST(HistogramTest, MergeAcrossShards) {
   PowerHistogram a, b;
   a.Record(10);

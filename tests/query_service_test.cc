@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <future>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "data/dataset.h"
 #include "data/uniform.h"
 #include "storage/read_only_disk.h"
+#include "wal/wal_writer.h"
 #include "tests/test_util.h"
 
 namespace spatial {
@@ -154,7 +158,7 @@ TEST(QueryServiceTest, StatsAggregateAcrossWorkers) {
     ASSERT_TRUE(f.get().ok());
   }
 
-  const ServiceStats stats = (*service)->Stats();
+  const ServiceStats stats = (*service)->Snapshot();
   EXPECT_EQ(stats.workers, 4u);
   EXPECT_EQ(stats.queries_ok, static_cast<uint64_t>(kQueries));
   EXPECT_EQ(stats.queries_failed, 0u);
@@ -164,9 +168,9 @@ TEST(QueryServiceTest, StatsAggregateAcrossWorkers) {
             static_cast<uint64_t>(kQueries));
   EXPECT_GT(stats.PageAccessesPerQuery(), 0.0);
   EXPECT_GT(stats.QueriesPerSecond(), 0.0);
-  EXPECT_GT(stats.latency.PercentileNs(0.5), 0u);
-  EXPECT_GE(stats.latency.PercentileNs(0.99),
-            stats.latency.PercentileNs(0.5));
+  EXPECT_GT(stats.latency.Percentile(0.5), 0u);
+  EXPECT_GE(stats.latency.Percentile(0.99),
+            stats.latency.Percentile(0.5));
   // Per-query algorithm counters flowed through the workers.
   EXPECT_GE(stats.query.nodes_visited, static_cast<uint64_t>(kQueries));
   // With the tier disabled, no query may be counted against it.
@@ -175,7 +179,7 @@ TEST(QueryServiceTest, StatsAggregateAcrossWorkers) {
   EXPECT_EQ(stats.resident_compiles, 0u);
 
   (*service)->ResetStats();
-  const ServiceStats zeroed = (*service)->Stats();
+  const ServiceStats zeroed = (*service)->Snapshot();
   EXPECT_EQ(zeroed.queries_ok, 0u);
   EXPECT_EQ(zeroed.buffer.logical_fetches, 0u);
   EXPECT_EQ(zeroed.latency.total_count, 0u);
@@ -193,8 +197,139 @@ TEST(QueryServiceTest, InvalidRequestsFailCleanly) {
   EXPECT_FALSE(got.ok());
   EXPECT_TRUE(got.status.IsInvalidArgument());
 
-  const ServiceStats stats = (*service)->Stats();
+  const ServiceStats stats = (*service)->Snapshot();
   EXPECT_EQ(stats.queries_failed, 1u);
+}
+
+TEST(QueryServiceTest, UncappedTopKReturnsEveryObject) {
+  // top_k arrives from the wire with no cap; the drain must size nothing
+  // by it, on either tier.
+  const auto data = MakeData(300);
+  auto db = MakeServableDb(data);
+  ASSERT_TRUE(db.ok());
+  for (bool resident : {false, true}) {
+    SCOPED_TRACE(resident ? "resident" : "paged");
+    QueryService<2>::Options options;
+    options.num_workers = 1;
+    options.resident_tier = resident;
+    auto service = QueryService<2>::Attach(*db, options);
+    ASSERT_TRUE(service.ok());
+    const Point2 q{{0.3, 0.7}};
+    QueryResponse<2> got = (*service)->Execute(
+        QueryRequest<2>::TopK(q, std::numeric_limits<uint32_t>::max()));
+    ASSERT_TRUE(got.ok()) << got.status.ToString();
+    ExpectKnnMatchesBruteForce(data, q, static_cast<uint32_t>(data.size()),
+                               got.neighbors);
+  }
+}
+
+// Removes a serving-mode database file and its WAL segments.
+void RemoveServingDb(const std::string& path) {
+  std::remove(path.c_str());
+  for (uint64_t s = 1; s <= 64; ++s) {
+    std::remove(WalWriter::SegmentPath(path, s).c_str());
+  }
+}
+
+// One well-formed request of each read kind; nullopt for the write kinds.
+std::optional<QueryRequest<2>> ReadRequest(QueryKind kind) {
+  const Point2 q{{0.4, 0.6}};
+  const Point2 q2{{0.1, 0.9}};
+  const Rect2 region = Rect2::FromCorners({{0.2, 0.2}}, {{0.8, 0.8}});
+  switch (kind) {
+    case QueryKind::kKnn:
+      return QueryRequest<2>::Knn(q, 5);
+    case QueryKind::kConstrainedKnn:
+      return QueryRequest<2>::ConstrainedKnn(q, region, 5);
+    case QueryKind::kRange:
+      return QueryRequest<2>::Range(region);
+    case QueryKind::kTopK:
+      return QueryRequest<2>::TopK(q, 5);
+    case QueryKind::kBatchKnn:
+      return QueryRequest<2>::BatchKnn({q, q2}, 3);
+    case QueryKind::kReverseKnn:
+      return QueryRequest<2>::ReverseKnn(q, 2);
+    case QueryKind::kNnSkyline:
+      return QueryRequest<2>::NnSkyline({q, q2});
+    case QueryKind::kApproxKnn:
+      return QueryRequest<2>::ApproxKnn(q, 5, 0.5);
+    case QueryKind::kInsert:
+    case QueryKind::kDelete:
+    case QueryKind::kCheckpoint:
+      return std::nullopt;
+  }
+  return std::nullopt;
+}
+
+// spatial_resident_queries_total{kind, tier} in a metrics scrape (0 when
+// the kind has no sample, as for kinds that are not resident-eligible).
+uint64_t TierCount(const std::string& scrape, QueryKind kind,
+                   const std::string& tier) {
+  const std::string key = std::string("spatial_resident_queries_total") +
+                          "{kind=\"" + QueryKindName(kind) + "\",tier=\"" +
+                          tier + "\"} ";
+  const size_t at = scrape.find(key);
+  if (at == std::string::npos) return 0;
+  return std::stoull(scrape.substr(at + key.size()));
+}
+
+// Runs one request of every read kind and checks that each moves exactly
+// its own `tier` counter by 1 when the kind is resident-eligible, and no
+// counter at all otherwise.
+void ExpectReadKindsCountedOn(QueryService<2>* service,
+                              const std::string& tier) {
+  for (int k = 0; k < kNumQueryKinds; ++k) {
+    const QueryKind kind = static_cast<QueryKind>(k);
+    const std::optional<QueryRequest<2>> request = ReadRequest(kind);
+    if (!request.has_value()) continue;
+    SCOPED_TRACE(QueryKindName(kind));
+    const std::string before = service->ScrapeMetrics();
+    const QueryResponse<2> got = service->Execute(*request);
+    ASSERT_TRUE(got.ok()) << got.status.ToString();
+    const std::string after = service->ScrapeMetrics();
+    for (int j = 0; j < kNumQueryKinds; ++j) {
+      const QueryKind counted = static_cast<QueryKind>(j);
+      for (const std::string t : {"resident", "paged"}) {
+        const uint64_t want =
+            counted == kind && t == tier && IsResidentEligible(kind) ? 1 : 0;
+        EXPECT_EQ(
+            TierCount(after, counted, t) - TierCount(before, counted, t),
+            want)
+            << QueryKindName(counted) << " tier=" << t;
+      }
+    }
+  }
+}
+
+TEST(QueryServiceTest, EveryEligibleKindIsServedByTheResidentTier) {
+  const auto data = MakeData(1500);
+  auto db = MakeServableDb(data);
+  ASSERT_TRUE(db.ok());
+  auto service = QueryService<2>::Attach(*db, {});
+  ASSERT_TRUE(service.ok());
+  ASSERT_NE((*service)->resident_tree(), nullptr);
+  ExpectReadKindsCountedOn(service->get(), "resident");
+}
+
+TEST(QueryServiceTest, EveryEligibleKindFallsBackWhenTheArenaIsStale) {
+  const std::string path = TempPath("service_tier_fallback.sdb");
+  RemoveServingDb(path);
+  QueryService<2>::Options options;
+  options.num_workers = 2;
+  auto service =
+      QueryService<2>::OpenServing(path, ServingOptions{}, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  // The startup arena holds the empty tree; these writes make it stale.
+  std::vector<std::future<QueryResponse<2>>> pending;
+  for (const Entry<2>& e : MakeData(300)) {
+    pending.push_back(
+        (*service)->Submit(QueryRequest<2>::Insert(e.mbr, e.id)));
+  }
+  for (auto& f : pending) ASSERT_TRUE(f.get().ok());
+  ExpectReadKindsCountedOn(service->get(), "paged");
+
+  (*service)->Shutdown();
+  RemoveServingDb(path);
 }
 
 TEST(QueryServiceTest, SubmitAfterShutdownResolvesWithError) {

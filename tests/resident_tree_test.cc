@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/best_first.h"
 #include "core/incremental.h"
 #include "core/knn.h"
 #include "data/uniform.h"
@@ -287,7 +286,7 @@ TEST(ResidentTreeTest, ReadOnlyServiceServesFromResidentTier) {
   Rect<2> window = Rect<2>::FromCorners({{0.4, 0.4}}, {{0.6, 0.6}});
   ASSERT_TRUE((*service)->Execute(QueryRequest<2>::Range(window)).ok());
 
-  const ServiceStats stats = (*service)->Stats();
+  const ServiceStats stats = (*service)->Snapshot();
   EXPECT_EQ(stats.resident_hits, static_cast<uint64_t>(kQueries));
   EXPECT_EQ(stats.resident_fallbacks, 0u);
   EXPECT_EQ(stats.resident_compiles, 1u);
@@ -336,7 +335,7 @@ TEST(ResidentTreeTest, ServingWriteInvalidatesAndRecompileRestores) {
     ASSERT_TRUE(got.ok());
     ExpectKnnMatchesBruteForce(live, queries.back(), 5, got.neighbors);
   }
-  ServiceStats stats = (*service)->Stats();
+  ServiceStats stats = (*service)->Snapshot();
   EXPECT_GE(stats.resident_fallbacks, static_cast<uint64_t>(kQueries));
   EXPECT_GE(stats.resident_invalidations, 1u);
   const uint64_t hits_before = stats.resident_hits;
@@ -347,7 +346,7 @@ TEST(ResidentTreeTest, ServingWriteInvalidatesAndRecompileRestores) {
     ASSERT_TRUE(got.ok());
     ExpectKnnMatchesBruteForce(live, q, 5, got.neighbors);
   }
-  stats = (*service)->Stats();
+  stats = (*service)->Snapshot();
   EXPECT_EQ(stats.resident_hits, hits_before + kQueries);
   EXPECT_GE(stats.resident_compiles, 2u);
   EXPECT_GT(stats.resident_arena_bytes, 0u);

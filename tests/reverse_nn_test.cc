@@ -1,114 +1,111 @@
+// Reverse NN is reverse k-NN at k = 1 (what `spatial_cli rnn` runs): object
+// o qualifies iff no other object is strictly closer to o than the query
+// is. Every answer must match the brute-force reference byte for byte on
+// both tiers (paged and resident), and on an insert-built tree too.
+
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "core/reverse_nn.h"
+#include "core/reverse_knn.h"
+#include "core/scratch.h"
 #include "data/clustered.h"
 #include "data/dataset.h"
 #include "data/uniform.h"
-#include "geom/metrics.h"
+#include "tests/dual_backend.h"
+#include "tests/reference.h"
 #include "tests/test_util.h"
 
 namespace spatial {
 namespace {
 
-// Brute-force reverse NN: o qualifies iff no other object is strictly
-// closer to o than the query is.
-std::set<uint64_t> BruteReverseNn(const std::vector<Entry<2>>& data,
-                                  const Point2& q) {
-  std::set<uint64_t> result;
-  for (size_t i = 0; i < data.size(); ++i) {
-    const Point2 o = data[i].mbr.Center();
-    const double to_query = SquaredDistance(o, q);
-    double nearest_other = std::numeric_limits<double>::infinity();
-    for (size_t j = 0; j < data.size(); ++j) {
-      if (j == i) continue;
-      nearest_other = std::min(
-          nearest_other, SquaredDistance(o, data[j].mbr.Center()));
-    }
-    if (to_query <= nearest_other) result.insert(data[i].id);
-  }
-  return result;
-}
-
-std::set<uint64_t> IdsOf(const std::vector<Neighbor>& neighbors) {
-  std::set<uint64_t> ids;
-  for (const Neighbor& n : neighbors) ids.insert(n.id);
-  return ids;
+// Reverse NN of q on both tiers; the two answers must be byte-identical.
+std::vector<Neighbor> ReverseNnBothTiers(const DualBackend<2>& index,
+                                         const Point2& q) {
+  QueryScratch<2> scratch;
+  std::vector<Neighbor> paged;
+  std::vector<Neighbor> resident;
+  EXPECT_TRUE(ReverseKnnSearch(*index.tree, q, ReverseKnnOptions{}, &scratch,
+                               &paged, nullptr)
+                  .ok());
+  EXPECT_TRUE(ReverseKnnSearch(*index.resident, q, ReverseKnnOptions{},
+                               &scratch, &resident, nullptr)
+                  .ok());
+  ExpectNeighborsByteIdentical(resident, paged);
+  return paged;
 }
 
 TEST(ReverseNnTest, EmptyTree) {
-  TestIndex2D index;
-  auto result = ReverseNnSearch<2>(*index.tree, {{0.5, 0.5}}, nullptr);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->empty());
+  DualBackend<2> index(std::vector<Entry<2>>{});
+  EXPECT_TRUE(ReverseNnBothTiers(index, {{0.5, 0.5}}).empty());
 }
 
 TEST(ReverseNnTest, SingleObjectIsAlwaysReverseNn) {
-  TestIndex2D index;
-  ASSERT_TRUE(index.tree->Insert(Rect2::FromPoint({{0.3, 0.3}}), 7).ok());
-  auto result = ReverseNnSearch<2>(*index.tree, {{0.9, 0.9}}, nullptr);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->size(), 1u);
-  EXPECT_EQ((*result)[0].id, 7u);
+  DualBackend<2> index({{Rect2::FromPoint({{0.3, 0.3}}), 7}});
+  const std::vector<Neighbor> got = ReverseNnBothTiers(index, {{0.9, 0.9}});
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].id, 7u);
 }
 
 TEST(ReverseNnTest, HandCaseAsymmetry) {
-  // a at 0, b at 3, query at 1: q is a's nearest entity (|aq|=1 < |ab|=3),
-  // but b prefers a (|bq|=2 vs |ba|=3 -> q closer? |bq|=2 < |ab|=3, so b
-  // also picks q). Move b to 2.5: |bq|=1.5, |ba|=2.5 -> q wins again.
-  // Put a third point c at 2.8 next to b: now b's nearest is c (0.3).
-  TestIndex2D index;
-  ASSERT_TRUE(index.tree->Insert(Rect2::FromPoint({{0.0, 0.0}}), 1).ok());
-  ASSERT_TRUE(index.tree->Insert(Rect2::FromPoint({{2.5, 0.0}}), 2).ok());
-  ASSERT_TRUE(index.tree->Insert(Rect2::FromPoint({{2.8, 0.0}}), 3).ok());
-  auto result = ReverseNnSearch<2>(*index.tree, {{1.0, 0.0}}, nullptr);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(IdsOf(*result), (std::set<uint64_t>{1}));
+  // a at 0, b at 2.5, c at 2.8, query at 1: q is a's nearest entity
+  // (|aq| = 1 < |ab| = 2.5), while b and c are each other's nearest (0.3),
+  // so neither picks q.
+  DualBackend<2> index({{Rect2::FromPoint({{0.0, 0.0}}), 1},
+                        {Rect2::FromPoint({{2.5, 0.0}}), 2},
+                        {Rect2::FromPoint({{2.8, 0.0}}), 3}});
+  const std::vector<Neighbor> got = ReverseNnBothTiers(index, {{1.0, 0.0}});
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].id, 1u);
 }
 
 TEST(ReverseNnTest, QueryOnDataPoint) {
-  TestIndex2D index;
-  ASSERT_TRUE(index.tree->Insert(Rect2::FromPoint({{0.5, 0.5}}), 1).ok());
-  ASSERT_TRUE(index.tree->Insert(Rect2::FromPoint({{0.9, 0.9}}), 2).ok());
-  auto result = ReverseNnSearch<2>(*index.tree, {{0.5, 0.5}}, nullptr);
-  ASSERT_TRUE(result.ok());
-  // Object 1 coincides with q (distance 0); object 2's nearest other is 1.
-  const std::set<uint64_t> got = IdsOf(*result);
-  EXPECT_TRUE(got.count(1));
+  // Object 1 coincides with q (distance 0): nothing is strictly closer to
+  // it than q, so it qualifies whatever else the tree holds.
+  DualBackend<2> index({{Rect2::FromPoint({{0.5, 0.5}}), 1},
+                        {Rect2::FromPoint({{0.9, 0.9}}), 2}});
+  const std::vector<Neighbor> got = ReverseNnBothTiers(index, {{0.5, 0.5}});
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got[0].id, 1u);
+  EXPECT_EQ(got[0].dist_sq, 0.0);
 }
 
 class ReverseNnPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ReverseNnPropertyTest, MatchesBruteForceUniform) {
-  TestIndex2D index;
-  Rng rng(GetParam());
-  auto data =
-      MakePointEntries(GenerateUniform<2>(600, UnitBounds<2>(), &rng));
-  index.InsertAll(data);
+// Checks 30 random queries against the reference on the packed tiers and
+// on a tree built by one-at-a-time insertion.
+void ExpectMatchesBruteForce(const std::vector<Entry<2>>& data, Rng* rng) {
+  DualBackend<2> packed(data);
+  TestIndex2D inserted;
+  inserted.InsertAll(data);
+  QueryScratch<2> scratch;
+  std::vector<Neighbor> got;
   for (int trial = 0; trial < 30; ++trial) {
-    const Point2 q{{rng.Uniform(0, 1), rng.Uniform(0, 1)}};
-    auto result = ReverseNnSearch<2>(*index.tree, q, nullptr);
-    ASSERT_TRUE(result.ok());
-    ASSERT_EQ(IdsOf(*result), BruteReverseNn(data, q)) << "trial " << trial;
+    SCOPED_TRACE("trial=" + std::to_string(trial));
+    const Point2 q{{rng->Uniform(0, 1), rng->Uniform(0, 1)}};
+    const std::vector<Neighbor> want = RefReverseKnn<2>(data, q, 1);
+    ExpectNeighborsByteIdentical(ReverseNnBothTiers(packed, q), want);
+    ASSERT_TRUE(ReverseKnnSearch(*inserted.tree, q, ReverseKnnOptions{},
+                                 &scratch, &got, nullptr)
+                    .ok());
+    ExpectNeighborsByteIdentical(got, want);
   }
 }
 
+TEST_P(ReverseNnPropertyTest, MatchesBruteForceUniform) {
+  Rng rng(GetParam());
+  ExpectMatchesBruteForce(
+      MakePointEntries(GenerateUniform<2>(600, UnitBounds<2>(), &rng)), &rng);
+}
+
 TEST_P(ReverseNnPropertyTest, MatchesBruteForceClustered) {
-  TestIndex2D index;
   Rng rng(GetParam() ^ 0xcafe);
-  auto data = MakePointEntries(
-      GenerateClustered<2>(500, UnitBounds<2>(), ClusteredOptions{}, &rng));
-  index.InsertAll(data);
-  for (int trial = 0; trial < 30; ++trial) {
-    const Point2 q{{rng.Uniform(0, 1), rng.Uniform(0, 1)}};
-    auto result = ReverseNnSearch<2>(*index.tree, q, nullptr);
-    ASSERT_TRUE(result.ok());
-    ASSERT_EQ(IdsOf(*result), BruteReverseNn(data, q)) << "trial " << trial;
-  }
+  ExpectMatchesBruteForce(
+      MakePointEntries(GenerateClustered<2>(500, UnitBounds<2>(),
+                                            ClusteredOptions{}, &rng)),
+      &rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReverseNnPropertyTest,
@@ -117,22 +114,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReverseNnPropertyTest,
 TEST(ReverseNnTest, ResultCountIsBoundedBySix) {
   // Classic 2-D fact: a point has at most six reverse nearest neighbors in
   // general position (one per 60-degree sector).
-  TestIndex2D index;
   Rng rng(99);
-  auto data =
-      MakePointEntries(GenerateUniform<2>(2000, UnitBounds<2>(), &rng));
-  index.InsertAll(data);
+  DualBackend<2> index(
+      MakePointEntries(GenerateUniform<2>(2000, UnitBounds<2>(), &rng)));
   for (int trial = 0; trial < 50; ++trial) {
     const Point2 q{{rng.Uniform(0, 1), rng.Uniform(0, 1)}};
-    auto result = ReverseNnSearch<2>(*index.tree, q, nullptr);
-    ASSERT_TRUE(result.ok());
-    EXPECT_LE(result->size(), 6u);
+    EXPECT_LE(ReverseNnBothTiers(index, q).size(), 6u);
   }
 }
 
 TEST(ReverseNnTest, IsolatedQueryFarFromDenseClusterHasNoReverseNn) {
   // All points huddle together; a faraway query attracts nobody.
-  TestIndex2D index;
   Rng rng(100);
   std::vector<Entry<2>> data;
   for (uint64_t i = 0; i < 300; ++i) {
@@ -140,11 +132,9 @@ TEST(ReverseNnTest, IsolatedQueryFarFromDenseClusterHasNoReverseNn) {
         Rect2::FromPoint(
             {{0.5 + rng.Uniform(0, 0.01), 0.5 + rng.Uniform(0, 0.01)}}),
         i});
-    ASSERT_TRUE(index.tree->Insert(data.back().mbr, i).ok());
   }
-  auto result = ReverseNnSearch<2>(*index.tree, {{5.0, 5.0}}, nullptr);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->empty());
+  DualBackend<2> index(std::move(data));
+  EXPECT_TRUE(ReverseNnBothTiers(index, {{5.0, 5.0}}).empty());
 }
 
 }  // namespace

@@ -106,7 +106,7 @@ void RunStress(QueryService<2>& service,
 
 // Call only once all traffic has drained (counters are exact when idle).
 void CheckStats(QueryService<2>& service, uint64_t expected_min_queries) {
-  const ServiceStats stats = service.Stats();
+  const ServiceStats stats = service.Snapshot();
   EXPECT_GE(stats.queries_ok, expected_min_queries);
   EXPECT_EQ(stats.queries_failed, 0u);
   // Every query either ran resident (no buffer-pool traffic at all) or

@@ -339,7 +339,7 @@ TEST(ServingServiceTest, WritesAndQueriesEndToEnd) {
   QueryResponse<2> ckpt = (*service)->Execute(QueryRequest<2>::Checkpoint());
   ASSERT_TRUE(ckpt.ok()) << ckpt.status.ToString();
 
-  const ServiceStats stats = (*service)->Stats();
+  const ServiceStats stats = (*service)->Snapshot();
   EXPECT_EQ(stats.writes_ok, 201u);
   EXPECT_EQ(stats.writes_failed, 0u);
   EXPECT_GE(stats.checkpoints, 1u);

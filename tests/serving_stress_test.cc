@@ -144,7 +144,7 @@ TEST(ServingStressTest, ReadersSeeConsistentSnapshotsUnderWriteLoad) {
   EXPECT_EQ(queries_ok.load(),
             static_cast<uint64_t>(kQueryThreads) * kQueriesPerThread);
 
-  const ServiceStats stats = (*service)->Stats();
+  const ServiceStats stats = (*service)->Snapshot();
   EXPECT_EQ(stats.writes_failed, 0u);
   EXPECT_EQ(stats.writes_ok, static_cast<uint64_t>(kWrites));
   EXPECT_GE(stats.checkpoints, static_cast<uint64_t>(

@@ -66,7 +66,6 @@
 #include "core/farthest.h"
 #include "core/knn.h"
 #include "core/reverse_knn.h"
-#include "core/reverse_nn.h"
 #include "core/scratch.h"
 #include "core/skyline.h"
 #include "data/clustered.h"
@@ -300,13 +299,19 @@ int CmdRnn(int argc, char** argv) {
   auto db = SpatialDb<2>::OpenFromFile(argv[0], page_size, 1024);
   if (!db.ok()) return Fail(db.status(), "open db");
   const Point2 q{{std::atof(argv[1]), std::atof(argv[2])}};
-  auto result = ReverseNnSearch<2>(db->tree(), q, nullptr);
-  if (!result.ok()) return Fail(result.status(), "rnn");
-  for (const Neighbor& n : *result) {
+  // Reverse NN is reverse k-NN at k = 1 (the ReverseKnnOptions default).
+  QueryScratch<2> scratch;
+  std::vector<Neighbor> found;
+  if (Status s = ReverseKnnSearch(db->tree(), q, ReverseKnnOptions{},
+                                  &scratch, &found, nullptr);
+      !s.ok()) {
+    return Fail(s, "rnn");
+  }
+  for (const Neighbor& n : found) {
     std::printf("id=%llu distance=%.9f\n",
                 static_cast<unsigned long long>(n.id), std::sqrt(n.dist_sq));
   }
-  std::printf("(%zu reverse nearest neighbors)\n", result->size());
+  std::printf("(%zu reverse nearest neighbors)\n", found.size());
   return 0;
 }
 
@@ -495,16 +500,16 @@ int CmdServeBench(int argc, char** argv) {
   }
   for (auto& c : clients) c.join();
 
-  const ServiceStats stats = (*service)->Stats();
+  const ServiceStats stats = (*service)->Snapshot();
   std::printf("served %llu queries (%llu failed) on %u workers in %.3f s\n",
               static_cast<unsigned long long>(stats.TotalQueries()),
               static_cast<unsigned long long>(failed.load()), workers,
               stats.elapsed_seconds);
   std::printf("throughput:      %.0f queries/s\n", stats.QueriesPerSecond());
   std::printf("latency p50/p95/p99: %.3f / %.3f / %.3f ms (max %.3f)\n",
-              static_cast<double>(stats.latency.PercentileNs(0.50)) / 1e6,
-              static_cast<double>(stats.latency.PercentileNs(0.95)) / 1e6,
-              static_cast<double>(stats.latency.PercentileNs(0.99)) / 1e6,
+              static_cast<double>(stats.latency.Percentile(0.50)) / 1e6,
+              static_cast<double>(stats.latency.Percentile(0.95)) / 1e6,
+              static_cast<double>(stats.latency.Percentile(0.99)) / 1e6,
               static_cast<double>(stats.latency.max) / 1e6);
   std::printf("page accesses/query: %.2f logical, %.2f physical "
               "(hit rate %.3f)\n",
