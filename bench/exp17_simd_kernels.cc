@@ -76,11 +76,13 @@ template <int D>
 class DepthFirstKnn {
  public:
   DepthFirstKnn(const RTree<D>& tree, const Point<D>& query,
-                const KnnOptions& options, QueryScratch<D>* scratch)
+                const KnnOptions& options, QueryScratch<D>* scratch,
+                AlignedArray<Entry<D>>* stage)
       : tree_(tree),
         query_(query),
         options_(options),
         scratch_(scratch),
+        stage_(stage),
         s1_active_(options.use_s1 && options.k == 1),
         s2_active_(options.use_s2 && options.k == 1),
         lazy_heap_(options.ordering == AblOrdering::kMinDist &&
@@ -126,7 +128,7 @@ class DepthFirstKnn {
     if (n == 0) return Status::OK();
     if (view.is_leaf()) return VisitLeaf(view.entries(), n);
 
-    Entry<D>* stage = scratch_->stage.EnsureCapacity(n);
+    Entry<D>* stage = stage_->EnsureCapacity(n);
     view.CopyEntries(stage);
     handle.Release();
 
@@ -214,6 +216,7 @@ class DepthFirstKnn {
   const Point<D> query_;
   const KnnOptions options_;
   QueryScratch<D>* scratch_;
+  AlignedArray<Entry<D>>* stage_;  // one internal node's AoS entries
   const bool s1_active_;
   const bool s2_active_;
   const bool lazy_heap_;
@@ -223,10 +226,10 @@ class DepthFirstKnn {
 template <int D>
 Status Search(const RTree<D>& tree, const Point<D>& query,
               const KnnOptions& options, QueryScratch<D>* scratch,
-              std::vector<Neighbor>* out) {
+              AlignedArray<Entry<D>>* stage, std::vector<Neighbor>* out) {
   out->clear();
   if (tree.empty()) return Status::OK();
-  DepthFirstKnn<D> search(tree, query, options, scratch);
+  DepthFirstKnn<D> search(tree, query, options, scratch, stage);
   return search.Run(out, /*append=*/false);
 }
 
@@ -493,11 +496,13 @@ void RunDimension(size_t n_points, size_t n_queries, size_t rounds,
     KnnOptions options;
     options.k = k;
     QueryScratch<D> scratch;
+    AlignedArray<Entry<D>> baseline_stage;
     std::vector<Neighbor> want, got;
 
     // Answers first: every engine must reproduce baseline bit for bit.
     for (const Point<D>& q : w.queries) {
-      UnwrapStatus(baseline::Search<D>(tree, q, options, &scratch, &want),
+      UnwrapStatus(baseline::Search<D>(tree, q, options, &scratch,
+                                       &baseline_stage, &want),
                    "baseline knn");
       UnwrapStatus(KnnSearchInto<D>(tree, q, options, &scratch, &got, nullptr),
                    "dispatched knn");
@@ -514,7 +519,8 @@ void RunDimension(size_t n_points, size_t n_queries, size_t rounds,
 
     const double base_qps =
         TimeQps<D>(w.queries, rounds, [&](const Point<D>& q) {
-          UnwrapStatus(baseline::Search<D>(tree, q, options, &scratch, &got),
+          UnwrapStatus(baseline::Search<D>(tree, q, options, &scratch,
+                                           &baseline_stage, &got),
                        "baseline knn");
         });
 

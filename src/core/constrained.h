@@ -1,35 +1,41 @@
 #ifndef SPATIAL_CORE_CONSTRAINED_H_
 #define SPATIAL_CORE_CONSTRAINED_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "common/result.h"
+#include "common/status.h"
 #include "core/knn.h"
 
 namespace spatial {
 
 // Constrained (region-restricted) k-NN: the k objects nearest to `query`
 // among those whose MBRs intersect `region` — "the 5 closest restaurants
-// inside the currently visible map window". Combines the paper's
-// branch-and-bound pruning with window pruning: a subtree is skipped when
+// inside the currently visible map window". It is the depth-first search
+// of KnnSearchInto with `region` as its window: a subtree is skipped when
 // it cannot beat the k-th candidate *or* cannot intersect the region.
+// `tree` is either tier.
 //
-// All KnnOptions knobs apply. Returns fewer than k neighbors when the
-// region holds fewer than k objects.
+// Options that apply: k, ordering, use_s3, max_distance and shared_bound,
+// as for plain kNN. use_s1 and use_s2 are ignored (the object MINMAXDIST
+// promises may lie outside the region), and a nonzero epsilon or
+// max_visits is InvalidArgument. Returns fewer than k neighbors when the
+// region holds fewer than k objects within max_distance.
+//
+// Allocates a scratch and the answer per call; a serving loop calls
+// KnnSearchInto with a window on a reused scratch instead.
 template <int D>
-Result<std::vector<Neighbor>> ConstrainedKnnSearch(const RTree<D>& tree,
+Result<std::vector<Neighbor>> ConstrainedKnnSearch(TreeView<D> tree,
                                                    const Point<D>& query,
                                                    const Rect<D>& region,
                                                    const KnnOptions& options,
-                                                   QueryStats* stats);
-
-extern template Result<std::vector<Neighbor>> ConstrainedKnnSearch<2>(
-    const RTree<2>&, const Point<2>&, const Rect<2>&, const KnnOptions&,
-    QueryStats*);
-extern template Result<std::vector<Neighbor>> ConstrainedKnnSearch<3>(
-    const RTree<3>&, const Point<3>&, const Rect<3>&, const KnnOptions&,
-    QueryStats*);
+                                                   QueryStats* stats) {
+  QueryScratch<D> scratch;
+  std::vector<Neighbor> out;
+  SPATIAL_RETURN_IF_ERROR(
+      KnnSearchInto<D>(tree, query, options, &scratch, &out, stats, &region));
+  return out;
+}
 
 }  // namespace spatial
 

@@ -36,8 +36,9 @@ namespace {
 constexpr double kMinMaxSlack = 1.0 + 1e-9;
 
 // ABL orderings. Ties on the distance key are broken by child page id so
-// that every traversal path (full sort, lazy heap) visits tied siblings in
-// the same order — the visit-order tests rely on this determinism.
+// that every traversal path (full sort, lazy selection) visits tied
+// siblings in the same order — the visit-order tests rely on this
+// determinism.
 inline bool MinDistLess(const AblSlot& a, const AblSlot& b) {
   if (a.min_dist_sq != b.min_dist_sq) return a.min_dist_sq < b.min_dist_sq;
   return a.child < b.child;
@@ -67,21 +68,28 @@ struct AblFrame {
 // passed none of them (the steady-state serving shape), instead of costing
 // a dozen predictable-but-present branches per visit. Both instantiations
 // run the identical search — observation never feeds back into pruning.
+//
+// A non-null `window` makes this the constrained search (docs/QUERIES.md):
+// right after the bound filter, every child and leaf object whose MBR
+// misses the window is dropped. That costs one pointer test per node visit
+// when there is no window.
 template <int D, class Access, bool kObserved>
 class DepthFirstKnn {
  public:
   DepthFirstKnn(const Access& access, const Point<D>& query,
-                const KnnOptions& options, QueryScratch<D>* scratch,
-                QueryStats* stats)
+                const KnnOptions& options, const Rect<D>* window,
+                QueryScratch<D>* scratch, QueryStats* stats)
       : access_(access),
         query_(query),
         options_(options),
+        window_(window),
         scratch_(scratch),
         stats_(stats),
         // S1/S2 depend on MINMAXDIST bounding a *single* object, so they
-        // are sound only for k = 1.
-        s1_active_(options.use_s1 && options.k == 1),
-        s2_active_(options.use_s2 && options.k == 1),
+        // are sound only for k = 1 — and only without a window, since the
+        // object MINMAXDIST promises may lie outside it.
+        s1_active_(options.use_s1 && options.k == 1 && window == nullptr),
+        s2_active_(options.use_s2 && options.k == 1 && window == nullptr),
         // Under MINDIST ordering the ABL is consumed in ascending-MINDIST
         // order until the bound kills the rest, so entries are selected
         // lazily (min-scan per visited child) instead of fully sorted.
@@ -90,8 +98,8 @@ class DepthFirstKnn {
         // remaining minimum exceeds it every remaining entry is dead —
         // exactly the set the sorted loop would skip. The traversal is
         // therefore unchanged for every k.
-        lazy_heap_(options.ordering == AblOrdering::kMinDist &&
-                   !options.force_full_sort),
+        lazy_select_(options.ordering == AblOrdering::kMinDist &&
+                     !options.force_full_sort),
         // inf * inf == inf, so an unbounded search still seeds at +inf.
         max_dist_sq_(options.max_distance * options.max_distance),
         // At epsilon = 0 this is exactly 1.0, and bound * 1.0 == bound
@@ -158,6 +166,30 @@ class DepthFirstKnn {
     }
   }
 
+  // Compacts the survivors idx[0, kept) to the entries whose MBR meets the
+  // window (Rect::Intersects: closed intervals), keeping their order, and
+  // returns how many remain. The window is a predicate, not a bound, so
+  // the entries it drops are charged to no prune counter. Kept out of line
+  // so the windowless visit loops compile as they did without it.
+  [[gnu::noinline]] uint32_t WindowFilter(const SoaBlock<D>& soa,
+                                          uint32_t* idx,
+                                          uint32_t kept) const {
+    const Rect<D>& w = *window_;
+    uint32_t out = 0;
+    for (uint32_t j = 0; j < kept; ++j) {
+      const uint32_t i = idx[j];
+      bool meets = true;
+      for (int d = 0; d < D; ++d) {
+        if (w.hi[d] < soa.lo(d)[i] || w.lo[d] > soa.hi(d)[i]) {
+          meets = false;
+          break;
+        }
+      }
+      if (meets) idx[out++] = i;
+    }
+    return out;
+  }
+
   Status VisitLeaf(const typename Access::Node& node) {
     // Object distances through the dispatched SoA kernel over the node's
     // planes — staged per visit by the paged backend, precomputed at
@@ -178,9 +210,9 @@ class DepthFirstKnn {
     double bound_sq = ObjectBoundSq();
     uint32_t* idx =
         scratch_->filter_idx.EnsureCapacity(QueryScratch<D>::DistSlots(n));
-    const uint32_t kept = ks_.min_dist_filter(query_.coord.data(), soa.planes,
-                                              soa.stride, soa.n, bound_sq,
-                                              dist, idx);
+    uint32_t kept = ks_.min_dist_filter(query_.coord.data(), soa.planes,
+                                        soa.stride, soa.n, bound_sq, dist,
+                                        idx);
     if constexpr (kObserved) {
       if (stats_ != nullptr) {
         stats_->objects_examined += n;
@@ -188,6 +220,7 @@ class DepthFirstKnn {
         stats_->pruned_leaf += n - kept;
       }
     }
+    if (window_ != nullptr) kept = WindowFilter(soa, idx, kept);
     for (uint32_t j = 0; j < kept; ++j) {
       const uint32_t i = idx[j];
       // An entry already beyond the (now possibly tighter) prune bound
@@ -347,6 +380,9 @@ class DepthFirstKnn {
       if constexpr (kObserved) {
         if (stats_ != nullptr) stats_->pruned_s3 += n - kept;
       }
+      // S1/S2 are off under a window, so a constrained search always
+      // reaches this branch.
+      if (window_ != nullptr) kept = WindowFilter(soa, idx, kept);
       for (uint32_t j = 0; j < kept; ++j) {
         const uint32_t i = idx[j];
         abl.push_back(AblSlot{static_cast<PageId>(child_ids[i]), dmin[i],
@@ -359,7 +395,7 @@ class DepthFirstKnn {
     // below overlaps the memory latency. Compiles away for paged access.
     for (size_t i = 0; i < m; ++i) access_.Prefetch(abl[base + i].child);
 
-    if (lazy_heap_) {
+    if (lazy_select_) {
       // Consume children in MINDIST order by scanning the frame for the
       // remaining minimum each round, visiting until that minimum exceeds
       // the bound — at that point *every* remaining child exceeds it.
@@ -434,6 +470,7 @@ class DepthFirstKnn {
   const Access access_;
   const Point<D> query_;
   const KnnOptions options_;
+  const Rect<D>* const window_;  // null: plain kNN
   QueryScratch<D>* scratch_;
   QueryStats* stats_;
   // The dispatched kernel set, resolved once per search: the per-call
@@ -443,7 +480,7 @@ class DepthFirstKnn {
   const SoaKernelSet& ks_ = SoaKernels<D>();
   const bool s1_active_;
   const bool s2_active_;
-  const bool lazy_heap_;
+  const bool lazy_select_;
   const double max_dist_sq_;
   const double relax_sq_;
   const uint64_t visit_budget_;
@@ -713,14 +750,22 @@ class BestFirstApproxKnn {
 template <int D, class Access>
 Status KnnSearchIntoImpl(const Access& access, const Point<D>& query,
                          const KnnOptions& options, QueryScratch<D>* scratch,
-                         std::vector<Neighbor>* out, QueryStats* stats) {
+                         std::vector<Neighbor>* out, QueryStats* stats,
+                         const Rect<D>* window) {
   SPATIAL_CHECK(scratch != nullptr && out != nullptr);
   SPATIAL_RETURN_IF_ERROR(options.Validate());
-  out->clear();
-  if (access.empty()) return Status::OK();
   // An active approximation knob selects the best-first engine; zero-knob
-  // searches take the paper's depth-first engine, bit for bit.
+  // searches take the paper's depth-first engine, bit for bit. Only the
+  // latter takes a window.
   const bool approx = options.epsilon > 0.0 || options.max_visits != 0;
+  if (window != nullptr && approx) {
+    return Status::InvalidArgument(
+        "a window excludes epsilon and max_visits");
+  }
+  out->clear();
+  if (access.empty() || (window != nullptr && window->IsEmpty())) {
+    return Status::OK();
+  }
   if (stats == nullptr && options.visit_trace == nullptr &&
       scratch->trace == nullptr) {
     if (approx) {
@@ -728,9 +773,8 @@ Status KnnSearchIntoImpl(const Access& access, const Point<D>& query,
           access, query, options, scratch, stats);
       return search.Run(out, /*append=*/false);
     }
-    DepthFirstKnn<D, Access, /*kObserved=*/false> search(access, query,
-                                                         options, scratch,
-                                                         stats);
+    DepthFirstKnn<D, Access, /*kObserved=*/false> search(
+        access, query, options, window, scratch, stats);
     return search.Run(out, /*append=*/false);
   }
   if (approx) {
@@ -738,8 +782,8 @@ Status KnnSearchIntoImpl(const Access& access, const Point<D>& query,
         access, query, options, scratch, stats);
     return search.Run(out, /*append=*/false);
   }
-  DepthFirstKnn<D, Access, /*kObserved=*/true> search(access, query, options,
-                                                      scratch, stats);
+  DepthFirstKnn<D, Access, /*kObserved=*/true> search(
+      access, query, options, window, scratch, stats);
   return search.Run(out, /*append=*/false);
 }
 
@@ -755,7 +799,8 @@ Status KnnSearchBatchImpl(const Access& access, const Point<D>* queries,
     out->stats.emplace_back();
     if (!access.empty()) {
       DepthFirstKnn<D, Access, /*kObserved=*/true> search(
-          access, queries[q], options, scratch, &out->stats.back());
+          access, queries[q], options, /*window=*/nullptr, scratch,
+          &out->stats.back());
       SPATIAL_RETURN_IF_ERROR(search.Run(&out->neighbors, /*append=*/true));
     }
     out->offsets.push_back(static_cast<uint32_t>(out->neighbors.size()));
@@ -768,9 +813,11 @@ Status KnnSearchBatchImpl(const Access& access, const Point<D>* queries,
 template <int D>
 Status KnnSearchInto(TreeView<D> tree, const Point<D>& query,
                      const KnnOptions& options, QueryScratch<D>* scratch,
-                     std::vector<Neighbor>* out, QueryStats* stats) {
+                     std::vector<Neighbor>* out, QueryStats* stats,
+                     const Rect<D>* window) {
   return tree.WithAccess([&](const auto& access) {
-    return KnnSearchIntoImpl<D>(access, query, options, scratch, out, stats);
+    return KnnSearchIntoImpl<D>(access, query, options, scratch, out, stats,
+                                window);
   });
 }
 
@@ -811,13 +858,16 @@ template Result<std::vector<Neighbor>> KnnSearch<4>(const RTree<4>&,
 
 template Status KnnSearchInto<2>(TreeView<2>, const Point<2>&,
                                  const KnnOptions&, QueryScratch<2>*,
-                                 std::vector<Neighbor>*, QueryStats*);
+                                 std::vector<Neighbor>*, QueryStats*,
+                                 const Rect<2>*);
 template Status KnnSearchInto<3>(TreeView<3>, const Point<3>&,
                                  const KnnOptions&, QueryScratch<3>*,
-                                 std::vector<Neighbor>*, QueryStats*);
+                                 std::vector<Neighbor>*, QueryStats*,
+                                 const Rect<3>*);
 template Status KnnSearchInto<4>(TreeView<4>, const Point<4>&,
                                  const KnnOptions&, QueryScratch<4>*,
-                                 std::vector<Neighbor>*, QueryStats*);
+                                 std::vector<Neighbor>*, QueryStats*,
+                                 const Rect<4>*);
 
 template Status KnnSearchBatch<2>(TreeView<2>, const Point<2>*, size_t,
                                   const KnnOptions&, QueryScratch<2>*,

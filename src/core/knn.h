@@ -14,6 +14,7 @@
 #include "core/scratch.h"
 #include "core/shared_bound.h"
 #include "geom/point.h"
+#include "geom/rect.h"
 #include "rtree/rtree.h"
 
 namespace spatial {
@@ -84,10 +85,10 @@ struct KnnOptions {
   // E21 harness. 0 (the default) means unlimited.
   uint64_t max_visits = 0;
 
-  // Test hooks. `force_full_sort` disables the lazy-heap ABL path that
-  // MINDIST ordering otherwise takes, so tests can assert both paths visit
-  // nodes in the identical order. `visit_trace` (if set) receives the
-  // PageId of every node visited, in order.
+  // Test hooks. `force_full_sort` disables the lazy selection-scan ABL
+  // path that MINDIST ordering otherwise takes, so tests can assert both
+  // paths visit nodes in the identical order. `visit_trace` (if set)
+  // receives the PageId of every node visited, in order.
   bool force_full_sort = false;
   std::vector<uint64_t>* visit_trace = nullptr;
 
@@ -125,10 +126,16 @@ Result<std::vector<Neighbor>> KnnSearch(const RTree<D>& tree,
 // per-visit transpose). Answers, visit order, and every QueryStats counter
 // except the page-access ones match across tiers bit for bit
 // (tests/resident_tree_test.cc memcmp-gates this).
+//
+// A non-null `window` makes this constrained kNN: only objects whose MBR
+// intersects the window qualify, and subtrees whose MBR misses it are
+// skipped. core/constrained.h lists the options that apply under a window;
+// epsilon or max_visits with a window is InvalidArgument.
 template <int D>
 Status KnnSearchInto(TreeView<D> tree, const Point<D>& query,
                      const KnnOptions& options, QueryScratch<D>* scratch,
-                     std::vector<Neighbor>* out, QueryStats* stats);
+                     std::vector<Neighbor>* out, QueryStats* stats,
+                     const Rect<D>* window = nullptr);
 
 // Answers of a batched kNN call, CSR-packed: query i's neighbors are
 // neighbors[offsets[i] .. offsets[i+1]), sorted by ascending distance, and
@@ -175,13 +182,16 @@ extern template Result<std::vector<Neighbor>> KnnSearch<4>(
 
 extern template Status KnnSearchInto<2>(TreeView<2>, const Point<2>&,
                                         const KnnOptions&, QueryScratch<2>*,
-                                        std::vector<Neighbor>*, QueryStats*);
+                                        std::vector<Neighbor>*, QueryStats*,
+                                        const Rect<2>*);
 extern template Status KnnSearchInto<3>(TreeView<3>, const Point<3>&,
                                         const KnnOptions&, QueryScratch<3>*,
-                                        std::vector<Neighbor>*, QueryStats*);
+                                        std::vector<Neighbor>*, QueryStats*,
+                                        const Rect<3>*);
 extern template Status KnnSearchInto<4>(TreeView<4>, const Point<4>&,
                                         const KnnOptions&, QueryScratch<4>*,
-                                        std::vector<Neighbor>*, QueryStats*);
+                                        std::vector<Neighbor>*, QueryStats*,
+                                        const Rect<4>*);
 
 extern template Status KnnSearchBatch<2>(TreeView<2>, const Point<2>*, size_t,
                                          const KnnOptions&, QueryScratch<2>*,

@@ -149,13 +149,10 @@ struct GeoItem {
 // path free of accessor indirection.
 template <int D>
 struct QueryScratch {
-  // One node's entries, staged contiguously by NodeView::CopyEntries so the
-  // batch distance kernels stream them in a single pass.
-  AlignedArray<Entry<D>> stage;
-
-  // Distance outputs of the batch kernels, parallel to `stage`. Sized via
-  // EnsureDistCapacity: the SIMD kernels store whole vectors, so the
-  // arrays cover the node's SoaStride, not just its entry count.
+  // Distance outputs of the batch kernels, one slot per entry of the node
+  // being evaluated. Sized via DistSlots: the SIMD kernels store whole
+  // vectors, so the arrays cover the node's SoaStride, not just its entry
+  // count.
   AlignedArray<double> min_dist;
   AlignedArray<double> min_max_dist;
 
@@ -172,8 +169,8 @@ struct QueryScratch {
   // pinned page so the pin can be dropped before descending.
   AlignedArray<uint64_t> child_ids;
 
-  // Transposes `n` AoS entries (from a NodeView's page image or the AoS
-  // `stage` copy) into the SoA planes and returns the kernel-ready view.
+  // Transposes `n` AoS entries (a NodeView's page image) into the SoA
+  // planes and returns the kernel-ready view.
   SoaBlock<D> StageSoa(const Entry<D>* entries, uint32_t n) {
     const size_t stride = SoaStride(n);
     double* planes = soa.EnsureCapacity(SoaDoubles(D, n));

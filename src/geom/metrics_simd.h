@@ -171,34 +171,6 @@ inline uint32_t FilterNotAboveSoa(const double* dist, uint32_t n, double bound,
   return SoaKernels<D>().filter_not_above(dist, n, bound, idx_out);
 }
 
-// Fused MINDIST + bound filter: out[j] = MINDIST^2(p, box_j) for all j
-// (bit-identical to MinDistSqBatchSoa) and idx_out receives the ascending
-// indices with !(out[j] > bound), exactly FilterNotAboveSoa's survivor set
-// over the finished array — one plane pass instead of compute-then-rescan.
-// Returns the survivor count. Output arrays as above: `out` needs
-// SoaStride(soa.n) 64-byte-aligned slots, `idx_out` n slots.
-template <int D>
-inline uint32_t MinDistFilterSoa(const Point<D>& p, const SoaBlock<D>& soa,
-                                 double bound, double* out,
-                                 uint32_t* idx_out) {
-  return SoaKernels<D>().min_dist_filter(p.coord.data(), soa.planes,
-                                         soa.stride, soa.n, bound, out,
-                                         idx_out);
-}
-
-// Fused MINDIST + MINMAXDIST reduction: out_min[j] = MINDIST^2(p, box_j)
-// (bit-identical to MinDistSqBatchSoa) and the return value is
-// min_j MINMAXDIST^2(p, box_j) — bit-identical to reducing
-// MinMaxDistSqBatchSoa's array with std::min — without materializing that
-// array. +infinity when soa.n == 0.
-template <int D>
-inline double MinDistAndMinMinMaxSoa(const Point<D>& p,
-                                     const SoaBlock<D>& soa,
-                                     double* out_min) {
-  return SoaKernels<D>().min_dist_min_minmax(p.coord.data(), soa.planes,
-                                             soa.stride, soa.n, out_min);
-}
-
 // out[j] = MINDIST^2(a, box_j), the rect-rect gap metric of the distance
 // join. Relies on Rect<D> being two contiguous Point<D>s, i.e. 2*D packed
 // doubles (static_asserted in rtree/entry.h for the on-page layout).

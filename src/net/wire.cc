@@ -6,6 +6,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "core/query_stats.h"
+
 namespace spatial {
 
 namespace {
@@ -147,34 +149,14 @@ Status MakeStatus(uint8_t code, const std::string& msg) {
 
 Status Truncated() { return Status::Corruption("wire: truncated frame"); }
 
+// QueryStats travels as its counters in kQueryStatFields order, 8 bytes
+// each.
 void PutQueryStats(std::string* out, const QueryStats& s) {
-  PutU64(out, s.nodes_visited);
-  PutU64(out, s.leaf_nodes_visited);
-  PutU64(out, s.internal_nodes_visited);
-  PutU64(out, s.abl_entries_generated);
-  PutU64(out, s.pruned_s1);
-  PutU64(out, s.estimate_updates_s2);
-  PutU64(out, s.pruned_s3);
-  PutU64(out, s.pruned_leaf);
-  PutU64(out, s.objects_examined);
-  PutU64(out, s.distance_computations);
-  PutU64(out, s.heap_pushes);
-  PutU64(out, s.heap_pops);
+  for (const QueryStatField& f : kQueryStatFields) PutU64(out, s.*f.member);
 }
 
 void GetQueryStats(Reader& r, QueryStats* s) {
-  s->nodes_visited = r.U64();
-  s->leaf_nodes_visited = r.U64();
-  s->internal_nodes_visited = r.U64();
-  s->abl_entries_generated = r.U64();
-  s->pruned_s1 = r.U64();
-  s->estimate_updates_s2 = r.U64();
-  s->pruned_s3 = r.U64();
-  s->pruned_leaf = r.U64();
-  s->objects_examined = r.U64();
-  s->distance_computations = r.U64();
-  s->heap_pushes = r.U64();
-  s->heap_pops = r.U64();
+  for (const QueryStatField& f : kQueryStatFields) (*s).*f.member = r.U64();
 }
 
 // The embedded per-shard trace record (wire v3): encoded only when the

@@ -52,83 +52,5 @@ void AppendRouterTraceJson(std::string* out, const RouterTraceRecord& r) {
   out->push_back('}');
 }
 
-DistTraceLog::DistTraceLog(const Options& options) : options_(options) {
-  slow_.reserve(options_.slow_capacity);
-  sampled_.reserve(options_.sampled_capacity);
-}
-
-void DistTraceLog::Record(const RouterTraceRecord& record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RouterTraceRecord r = record;
-  r.seq = seq_++;
-  if (r.total_ns >= options_.slow_threshold_ns && options_.slow_capacity > 0) {
-    if (slow_.size() < options_.slow_capacity) {
-      slow_.push_back(r);  // within reserved capacity: no allocation
-    } else {
-      slow_[slow_next_] = r;
-      slow_next_ = (slow_next_ + 1) % options_.slow_capacity;
-    }
-    return;
-  }
-  if (options_.sampled_capacity == 0) return;
-  ++sampled_seen_;
-  if (sampled_.size() < options_.sampled_capacity) {
-    sampled_.push_back(r);
-    return;
-  }
-  // Reservoir (algorithm R): replace a uniformly random slot with
-  // probability capacity / seen.
-  const uint64_t slot = NextRandom(&rng_) % sampled_seen_;
-  if (slot < options_.sampled_capacity) {
-    sampled_[static_cast<size_t>(slot)] = r;
-  }
-}
-
-uint64_t DistTraceLog::total_recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return seq_;
-}
-
-size_t DistTraceLog::slow_captured() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return slow_.size();
-}
-
-size_t DistTraceLog::sampled_captured() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sampled_.size();
-}
-
-std::vector<RouterTraceRecord> DistTraceLog::SlowEntries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return slow_;
-}
-
-std::vector<RouterTraceRecord> DistTraceLog::SampledEntries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sampled_;
-}
-
-std::string DistTraceLog::DumpJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  out.reserve(256 + 1024 * (slow_.size() + sampled_.size()));
-  out.push_back('{');
-  AppendJsonU64(&out, "slow_threshold_ns", options_.slow_threshold_ns);
-  AppendJsonU64(&out, "total_recorded", seq_);
-  out.append("\"slow\":[");
-  for (size_t i = 0; i < slow_.size(); ++i) {
-    if (i != 0) out.push_back(',');
-    AppendRouterTraceJson(&out, slow_[i]);
-  }
-  out.append("],\"sampled\":[");
-  for (size_t i = 0; i < sampled_.size(); ++i) {
-    if (i != 0) out.push_back(',');
-    AppendRouterTraceJson(&out, sampled_[i]);
-  }
-  out.append("]}");
-  return out;
-}
-
 }  // namespace obs
 }  // namespace spatial

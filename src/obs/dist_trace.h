@@ -3,9 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "core/query_stats.h"
 #include "obs/slow_query_log.h"
@@ -73,53 +71,17 @@ struct RouterTraceRecord {
   }
 };
 
-// The router-level slow-query log: structurally the service's SlowQueryLog
-// (newest-wins slow ring + algorithm-R reservoir, preallocated storage,
-// mutexed Record that runs at most once per request and never allocates),
-// but holding assembled cross-shard traces instead of single-service
-// records. DumpJson() backs the kDumpSlowLog admin frame.
-class DistTraceLog {
- public:
-  struct Options {
-    size_t slow_capacity = 64;
-    size_t sampled_capacity = 64;
-    uint64_t slow_threshold_ns = 10'000'000;  // 10 ms
-  };
-
-  explicit DistTraceLog(const Options& options);
-  DistTraceLog(const DistTraceLog&) = delete;
-  DistTraceLog& operator=(const DistTraceLog&) = delete;
-
-  // Routes by total_ns: >= threshold goes to the slow ring, else to the
-  // sampled reservoir. Never allocates.
-  void Record(const RouterTraceRecord& record);
-
-  uint64_t slow_threshold_ns() const { return options_.slow_threshold_ns; }
-  uint64_t total_recorded() const;
-  size_t slow_captured() const;
-  size_t sampled_captured() const;
-
-  std::vector<RouterTraceRecord> SlowEntries() const;
-  std::vector<RouterTraceRecord> SampledEntries() const;
-
-  // {"slow_threshold_ns":..., "slow":[...], "sampled":[...]}; see
-  // docs/OBSERVABILITY.md "Distributed traces" for the record schema.
-  std::string DumpJson() const;
-
- private:
-  const Options options_;
-  mutable std::mutex mu_;
-  std::vector<RouterTraceRecord> slow_;  // ring, capacity slow_capacity
-  size_t slow_next_ = 0;
-  std::vector<RouterTraceRecord> sampled_;  // reservoir
-  uint64_t sampled_seen_ = 0;
-  uint64_t seq_ = 0;
-  uint64_t rng_ = 0xA0761D6478BD642FULL;
-};
-
 // One trace rendered as a JSON object (the DumpJson element form) — used
 // directly by tests and tools that hold a record.
 void AppendRouterTraceJson(std::string* out, const RouterTraceRecord& r);
+
+// The router-level slow-query log: the service's retention log
+// (obs/slow_query_log.h) over assembled cross-shard traces, routed by the
+// request's total time. DumpJson() backs the kDumpSlowLog admin frame; see
+// docs/OBSERVABILITY.md "Distributed traces" for the record schema.
+using DistTraceLog =
+    RetentionLog<RouterTraceRecord, &RouterTraceRecord::total_ns,
+                 0xA0761D6478BD642FULL, &AppendRouterTraceJson>;
 
 }  // namespace obs
 }  // namespace spatial

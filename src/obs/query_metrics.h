@@ -1,6 +1,7 @@
 #ifndef SPATIAL_OBS_QUERY_METRICS_H_
 #define SPATIAL_OBS_QUERY_METRICS_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "core/query_stats.h"
@@ -12,68 +13,29 @@ namespace obs {
 // Scrape-safe mirror of QueryStats. The traversal code keeps bumping a
 // plain per-query QueryStats (cheap, thread-private, unchanged since the
 // seed); the worker folds that into one of these once per completed query.
-// Scrapers read the cells live without tearing or TSan findings.
+// Scrapers read the cells live without tearing or TSan findings. Cell i
+// mirrors kQueryStatFields[i].
 struct AtomicQueryStats {
-  StatCounter nodes_visited;
-  StatCounter leaf_nodes_visited;
-  StatCounter internal_nodes_visited;
-  StatCounter abl_entries_generated;
-  StatCounter pruned_s1;
-  StatCounter estimate_updates_s2;
-  StatCounter pruned_s3;
-  StatCounter pruned_leaf;
-  StatCounter objects_examined;
-  StatCounter distance_computations;
-  StatCounter heap_pushes;
-  StatCounter heap_pops;
+  StatCounter cells[kNumQueryStatFields];
 
   // Owner thread only (single-writer cells).
   void Add(const QueryStats& s) {
-    nodes_visited += s.nodes_visited;
-    leaf_nodes_visited += s.leaf_nodes_visited;
-    internal_nodes_visited += s.internal_nodes_visited;
-    abl_entries_generated += s.abl_entries_generated;
-    pruned_s1 += s.pruned_s1;
-    estimate_updates_s2 += s.estimate_updates_s2;
-    pruned_s3 += s.pruned_s3;
-    pruned_leaf += s.pruned_leaf;
-    objects_examined += s.objects_examined;
-    distance_computations += s.distance_computations;
-    heap_pushes += s.heap_pushes;
-    heap_pops += s.heap_pops;
+    for (size_t i = 0; i < kNumQueryStatFields; ++i) {
+      cells[i] += s.*kQueryStatFields[i].member;
+    }
   }
 
   // Any thread.
   QueryStats Snapshot() const {
     QueryStats s;
-    s.nodes_visited = nodes_visited;
-    s.leaf_nodes_visited = leaf_nodes_visited;
-    s.internal_nodes_visited = internal_nodes_visited;
-    s.abl_entries_generated = abl_entries_generated;
-    s.pruned_s1 = pruned_s1;
-    s.estimate_updates_s2 = estimate_updates_s2;
-    s.pruned_s3 = pruned_s3;
-    s.pruned_leaf = pruned_leaf;
-    s.objects_examined = objects_examined;
-    s.distance_computations = distance_computations;
-    s.heap_pushes = heap_pushes;
-    s.heap_pops = heap_pops;
+    for (size_t i = 0; i < kNumQueryStatFields; ++i) {
+      s.*kQueryStatFields[i].member = cells[i];
+    }
     return s;
   }
 
   void Reset() {
-    nodes_visited = 0;
-    leaf_nodes_visited = 0;
-    internal_nodes_visited = 0;
-    abl_entries_generated = 0;
-    pruned_s1 = 0;
-    estimate_updates_s2 = 0;
-    pruned_s3 = 0;
-    pruned_leaf = 0;
-    objects_examined = 0;
-    distance_computations = 0;
-    heap_pushes = 0;
-    heap_pops = 0;
+    for (StatCounter& cell : cells) cell = 0;
   }
 };
 

@@ -16,18 +16,11 @@ void AppendJsonU64(std::string* out, const char* key, uint64_t v,
 
 void AppendQueryStatsJson(std::string* out, const QueryStats& s) {
   out->push_back('{');
-  AppendJsonU64(out, "nodes_visited", s.nodes_visited);
-  AppendJsonU64(out, "leaf_nodes_visited", s.leaf_nodes_visited);
-  AppendJsonU64(out, "internal_nodes_visited", s.internal_nodes_visited);
-  AppendJsonU64(out, "abl_entries_generated", s.abl_entries_generated);
-  AppendJsonU64(out, "pruned_s1", s.pruned_s1);
-  AppendJsonU64(out, "estimate_updates_s2", s.estimate_updates_s2);
-  AppendJsonU64(out, "pruned_s3", s.pruned_s3);
-  AppendJsonU64(out, "pruned_leaf", s.pruned_leaf);
-  AppendJsonU64(out, "objects_examined", s.objects_examined);
-  AppendJsonU64(out, "distance_computations", s.distance_computations);
-  AppendJsonU64(out, "heap_pushes", s.heap_pushes);
-  AppendJsonU64(out, "heap_pops", s.heap_pops, /*trailing_comma=*/false);
+  for (size_t i = 0; i < kNumQueryStatFields; ++i) {
+    const QueryStatField& f = kQueryStatFields[i];
+    AppendJsonU64(out, f.key, s.*f.member,
+                  /*trailing_comma=*/i + 1 < kNumQueryStatFields);
+  }
   out->push_back('}');
 }
 
@@ -49,9 +42,7 @@ void AppendLevelsJson(std::string* out,
   out->push_back(']');
 }
 
-namespace {
-
-void AppendRecordJson(std::string* out, const QueryTraceRecord& r) {
+void AppendQueryTraceJson(std::string* out, const QueryTraceRecord& r) {
   out->push_back('{');
   AppendJsonU64(out, "seq", r.seq);
   AppendJsonU64(out, "worker", r.worker);
@@ -67,87 +58,6 @@ void AppendRecordJson(std::string* out, const QueryTraceRecord& r) {
   out->append(",\"nodes_per_level\":");
   AppendLevelsJson(out, r.nodes_per_level);
   out->push_back('}');
-}
-
-}  // namespace
-
-SlowQueryLog::SlowQueryLog(const Options& options) : options_(options) {
-  slow_.reserve(options_.slow_capacity);
-  sampled_.reserve(options_.sampled_capacity);
-}
-
-void SlowQueryLog::Record(const QueryTraceRecord& record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  QueryTraceRecord r = record;
-  r.seq = seq_++;
-  if (r.latency_ns >= options_.slow_threshold_ns &&
-      options_.slow_capacity > 0) {
-    if (slow_.size() < options_.slow_capacity) {
-      slow_.push_back(r);  // within reserved capacity: no allocation
-    } else {
-      slow_[slow_next_] = r;
-      slow_next_ = (slow_next_ + 1) % options_.slow_capacity;
-    }
-    return;
-  }
-  if (options_.sampled_capacity == 0) return;
-  ++sampled_seen_;
-  if (sampled_.size() < options_.sampled_capacity) {
-    sampled_.push_back(r);
-    return;
-  }
-  // Reservoir (algorithm R): replace a uniformly random slot with
-  // probability capacity / seen.
-  const uint64_t slot = NextRandom(&rng_) % sampled_seen_;
-  if (slot < options_.sampled_capacity) {
-    sampled_[static_cast<size_t>(slot)] = r;
-  }
-}
-
-uint64_t SlowQueryLog::total_recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return seq_;
-}
-
-size_t SlowQueryLog::slow_captured() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return slow_.size();
-}
-
-size_t SlowQueryLog::sampled_captured() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sampled_.size();
-}
-
-std::vector<QueryTraceRecord> SlowQueryLog::SlowEntries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return slow_;
-}
-
-std::vector<QueryTraceRecord> SlowQueryLog::SampledEntries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sampled_;
-}
-
-std::string SlowQueryLog::DumpJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  out.reserve(256 + 512 * (slow_.size() + sampled_.size()));
-  out.push_back('{');
-  AppendJsonU64(&out, "slow_threshold_ns", options_.slow_threshold_ns);
-  AppendJsonU64(&out, "total_recorded", seq_);
-  out.append("\"slow\":[");
-  for (size_t i = 0; i < slow_.size(); ++i) {
-    if (i != 0) out.push_back(',');
-    AppendRecordJson(&out, slow_[i]);
-  }
-  out.append("],\"sampled\":[");
-  for (size_t i = 0; i < sampled_.size(); ++i) {
-    if (i != 0) out.push_back(',');
-    AppendRecordJson(&out, sampled_[i]);
-  }
-  out.append("]}");
-  return out;
 }
 
 }  // namespace obs

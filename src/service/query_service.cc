@@ -1,9 +1,9 @@
 #include "service/query_service.h"
 
 #include <limits>
+#include <string>
 #include <utility>
 
-#include "core/constrained.h"
 #include "core/incremental.h"
 #include "core/knn.h"
 #include "core/reverse_knn.h"
@@ -452,22 +452,13 @@ QueryResponse<D> QueryService<D>::Dispatch(Worker* worker,
   switch (request.kind) {
     case QueryKind::kKnn:
     case QueryKind::kApproxKnn:
-      response.status =
-          KnnSearchInto<D>(view, request.query, request.knn,
-                           &worker->scratch, &response.neighbors,
-                           &response.stats);
+    case QueryKind::kConstrainedKnn:
+      response.status = KnnSearchInto<D>(
+          view, request.query, request.knn, &worker->scratch,
+          &response.neighbors, &response.stats,
+          request.kind == QueryKind::kConstrainedKnn ? &request.window
+                                                     : nullptr);
       return response;
-    case QueryKind::kConstrainedKnn: {
-      auto result = ConstrainedKnnSearch<D>(tree, request.query,
-                                            request.window, request.knn,
-                                            &response.stats);
-      if (result.ok()) {
-        response.neighbors = std::move(result).value();
-      } else {
-        response.status = result.status();
-      }
-      return response;
-    }
     case QueryKind::kRange:
       response.status = tree.Search(request.window, &response.entries);
       return response;
@@ -610,46 +601,6 @@ void QueryService<D>::RegisterMetrics() {
 
 namespace {
 
-// Per-kind traversal counters, emitted one family per stat with a `kind`
-// label. Member pointers keep the scrape in lockstep with QueryStats.
-struct QueryStatField {
-  const char* name;
-  const char* help;
-  uint64_t QueryStats::*field;
-};
-
-constexpr QueryStatField kQueryStatFields[] = {
-    {"spatial_query_nodes_visited_total", "R-tree pages fetched by queries",
-     &QueryStats::nodes_visited},
-    {"spatial_query_leaf_nodes_visited_total", "Leaf pages fetched",
-     &QueryStats::leaf_nodes_visited},
-    {"spatial_query_internal_nodes_visited_total", "Internal pages fetched",
-     &QueryStats::internal_nodes_visited},
-    {"spatial_query_abl_entries_generated_total",
-     "Active branch list entries considered",
-     &QueryStats::abl_entries_generated},
-    {"spatial_query_pruned_s1_total",
-     "Branches pruned by strategy 1 (MINDIST > sibling MINMAXDIST)",
-     &QueryStats::pruned_s1},
-    {"spatial_query_estimate_updates_s2_total",
-     "NN estimate updates from strategy 2 (MINMAXDIST)",
-     &QueryStats::estimate_updates_s2},
-    {"spatial_query_pruned_s3_total",
-     "Branches pruned by strategy 3 (MINDIST > k-th nearest)",
-     &QueryStats::pruned_s3},
-    {"spatial_query_pruned_leaf_total",
-     "Leaf entries skipped before distance evaluation",
-     &QueryStats::pruned_leaf},
-    {"spatial_query_objects_examined_total", "Objects distance-tested",
-     &QueryStats::objects_examined},
-    {"spatial_query_distance_computations_total",
-     "Distance kernel evaluations", &QueryStats::distance_computations},
-    {"spatial_query_heap_pushes_total",
-     "Best-first / incremental heap pushes", &QueryStats::heap_pushes},
-    {"spatial_query_heap_pops_total", "Best-first / incremental heap pops",
-     &QueryStats::heap_pops},
-};
-
 std::string KindLabel(QueryKind kind) {
   std::string label = "kind=\"";
   label += QueryKindName(kind);
@@ -694,11 +645,13 @@ void QueryService<D>::CollectMetrics(obs::ExpositionWriter& writer) const {
     per_kind[k] = KindQueryStats(static_cast<QueryKind>(k));
   }
   for (const QueryStatField& field : kQueryStatFields) {
-    writer.Family(field.name, field.help, obs::MetricType::kCounter);
+    const std::string name =
+        std::string("spatial_query_") + field.key + "_total";
+    writer.Family(name, field.help, obs::MetricType::kCounter);
     for (int k = 0; k < kNumQueryKinds; ++k) {
       const QueryKind kind = static_cast<QueryKind>(k);
       if (IsWriteKind(kind)) continue;
-      writer.Sample(field.name, KindLabel(kind), per_kind[k].*field.field);
+      writer.Sample(name, KindLabel(kind), per_kind[k].*field.member);
     }
   }
 

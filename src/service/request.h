@@ -55,7 +55,7 @@ struct QueryKindInfo {
 
 inline constexpr QueryKindInfo kQueryKindTable[] = {
     {QueryKind::kKnn, "knn", false, true},
-    {QueryKind::kConstrainedKnn, "constrained-knn", false, false},
+    {QueryKind::kConstrainedKnn, "constrained-knn", false, true},
     {QueryKind::kRange, "range", false, false},
     {QueryKind::kTopK, "top-k", false, true},
     {QueryKind::kBatchKnn, "batch-knn", false, true},

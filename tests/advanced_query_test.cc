@@ -497,6 +497,7 @@ TEST(QueryKindTableTest, NamesAndFlags) {
   EXPECT_TRUE(IsResidentEligible(QueryKind::kReverseKnn));
   EXPECT_TRUE(IsResidentEligible(QueryKind::kNnSkyline));
   EXPECT_TRUE(IsResidentEligible(QueryKind::kApproxKnn));
+  EXPECT_TRUE(IsResidentEligible(QueryKind::kConstrainedKnn));
   EXPECT_FALSE(IsResidentEligible(QueryKind::kRange));
   EXPECT_FALSE(IsResidentEligible(static_cast<QueryKind>(255)));
 }

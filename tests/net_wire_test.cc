@@ -183,6 +183,49 @@ TEST(WireTest, ResponseRoundTrip) {
   EXPECT_EQ(out->affected, 1u);
 }
 
+// QueryStats crosses the wire as its twelve counters in declaration
+// order, 8 little-endian bytes each: 96 bytes right after the response's
+// status code, message length and three (here empty) array counts.
+// Every counter gets a distinct value with distinct high and low bytes,
+// so a swapped pair or a byte-order slip shows.
+TEST(WireTest, QueryStatsWireLayoutIsPinned) {
+  uint64_t QueryStats::*const kLayout[] = {
+      &QueryStats::nodes_visited,         &QueryStats::leaf_nodes_visited,
+      &QueryStats::internal_nodes_visited, &QueryStats::abl_entries_generated,
+      &QueryStats::pruned_s1,             &QueryStats::estimate_updates_s2,
+      &QueryStats::pruned_s3,             &QueryStats::pruned_leaf,
+      &QueryStats::objects_examined,      &QueryStats::distance_computations,
+      &QueryStats::heap_pushes,           &QueryStats::heap_pops,
+  };
+  constexpr size_t kFields = sizeof(kLayout) / sizeof(kLayout[0]);
+  static_assert(kFields * sizeof(uint64_t) == 96);
+  static_assert(sizeof(QueryStats) == 96);
+  auto value = [](size_t i) -> uint64_t {
+    return (uint64_t{i + 1} << 56) | (uint64_t{0x30 + i} << 24) | (0xA0 + i);
+  };
+  QueryResponse<2> in;
+  for (size_t i = 0; i < kFields; ++i) in.stats.*kLayout[i] = value(i);
+
+  std::string buf;
+  EncodeResponse<2>(in, &buf);
+  constexpr size_t kStatsAt = 1 + 4 + 4 + 4 + 4;
+  // The stats, then latency 8, worker 4, lsn 8, affected 8, trace flag 1.
+  ASSERT_EQ(buf.size(), kStatsAt + 96 + 8 + 4 + 8 + 8 + 1);
+  for (size_t i = 0; i < kFields; ++i) {
+    for (size_t b = 0; b < 8; ++b) {
+      EXPECT_EQ(static_cast<uint8_t>(buf[kStatsAt + 8 * i + b]),
+                static_cast<uint8_t>(value(i) >> (8 * b)))
+          << "counter " << i << " byte " << b;
+    }
+  }
+  auto out = DecodeResponse<2>(reinterpret_cast<const uint8_t*>(buf.data()),
+                               buf.size());
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  for (size_t i = 0; i < kFields; ++i) {
+    EXPECT_EQ(out->stats.*kLayout[i], value(i)) << "counter " << i;
+  }
+}
+
 TEST(WireTest, ResponseWithTraceRecordRoundTrip) {
   QueryResponse<2> in;
   in.neighbors = {{42, 0.125}};

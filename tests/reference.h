@@ -44,6 +44,20 @@ std::vector<Neighbor> RefKnn(
   return all;
 }
 
+// Exact constrained k-NN: RefKnn over the objects whose MBR intersects
+// `window` (closed intervals, as Rect::Intersects).
+template <int D>
+std::vector<Neighbor> RefConstrainedKnn(
+    const std::vector<Entry<D>>& data, const Point<D>& q,
+    const Rect<D>& window, uint32_t k,
+    double max_distance = std::numeric_limits<double>::infinity()) {
+  std::vector<Entry<D>> inside;
+  for (const Entry<D>& e : data) {
+    if (e.mbr.Intersects(window)) inside.push_back(e);
+  }
+  return RefKnn<D>(inside, q, k, max_distance);
+}
+
 // Exact reverse k-NN (ties included): object o qualifies iff fewer than k
 // *other* objects are strictly closer to o than the query is. Sorted by
 // (dist_sq, id). Dimension-generic even though the engine serves D = 2

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/constrained.h"
 #include "core/incremental.h"
 #include "core/knn.h"
 #include "data/dataset.h"
@@ -127,6 +128,19 @@ void RunEquivalenceSuite(uint32_t shards, bool file_backed,
     QueryResponse<2> got_range = router.Execute(QueryRequest<2>::Range(window));
     ASSERT_TRUE(got_range.ok());
     ExpectEntriesByteIdentical(got_range.entries, want_entries);
+
+    // Constrained kNN in the same window (q sits on its corner).
+    for (uint32_t k : {1u, 5u, 17u}) {
+      KnnOptions knn;
+      knn.k = k;
+      auto want = ConstrainedKnnSearch<2>(reference->tree(), q, window, knn,
+                                          nullptr);
+      ASSERT_TRUE(want.ok());
+      QueryResponse<2> got = router.Execute(
+          QueryRequest<2>::ConstrainedKnn(q, window, k));
+      ASSERT_TRUE(got.ok()) << got.status.ToString();
+      ExpectByteIdentical(got.neighbors, Normalized(*want));
+    }
 
     // Incremental top-k.
     std::vector<Neighbor> want_topk;

@@ -395,6 +395,54 @@ TEST(ZeroAllocTest, ResidentKnnSearchIntoIsAllocationFreeWhenWarm) {
   }
 }
 
+// Constrained kNN is KnnSearchInto with a window: the window filter
+// compacts the survivor indices in place, so a warm windowed search
+// allocates nothing on either tier, observed or not.
+TEST(ZeroAllocTest, WindowedKnnSearchIntoIsAllocationFreeWhenWarm) {
+  Fixture f;
+  auto resident =
+      ResidentTree<2>::Compile(&f.pool, f.tree->root_page(), f.tree->size(),
+                               {});
+  ASSERT_TRUE(resident.ok()) << resident.status().ToString();
+  std::vector<Rect2> windows;
+  for (const Point2& q : f.queries) {
+    windows.push_back(Rect2::FromCorners({{q[0] + 0.05, q[1] - 0.1}},
+                                         {{q[0] + 0.25, q[1] + 0.1}}));
+  }
+  QueryScratch<2> scratch;
+  std::vector<Neighbor> out;
+  QueryStats stats;
+
+  const TreeView<2> tiers[] = {*f.tree, *resident};
+  for (int tier = 0; tier < 2; ++tier) {
+    for (uint32_t k : {1u, 10u}) {
+      KnnOptions options;
+      options.k = k;
+      auto run = [&]() {
+        bool all_ok = true;
+        for (size_t i = 0; i < f.queries.size(); ++i) {
+          all_ok &= KnnSearchInto<2>(tiers[tier], f.queries[i], options,
+                                     &scratch, &out, &stats, &windows[i])
+                        .ok();
+          all_ok &= KnnSearchInto<2>(tiers[tier], f.queries[i], options,
+                                     &scratch, &out, nullptr, &windows[i])
+                        .ok();
+        }
+        return all_ok;
+      };
+      ASSERT_TRUE(run());
+
+      const AllocCounts before = ThreadAllocCounts();
+      const bool all_ok = run();
+      const AllocCounts delta = ThreadAllocCounts() - before;
+      ASSERT_TRUE(all_ok);
+      EXPECT_EQ(delta.allocations, 0u)
+          << (tier == 0 ? "paged" : "resident") << " k=" << k << ": "
+          << delta.bytes << " bytes allocated in steady state";
+    }
+  }
+}
+
 TEST(ZeroAllocTest, ResidentBatchKnnSteadyStateIsAllocationFree) {
   Fixture f;
   auto resident =
