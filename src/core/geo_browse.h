@@ -14,14 +14,18 @@
 
 namespace spatial {
 
-// Geometry-preserving incremental distance browse: the one best-first
-// browse of core/, shared by the incremental k-NN iterator, reverse k-NN
-// and the NN skyline (the latter two still need the popped box *after*
-// the node holding it is gone — sector assignment, per-source dominance
-// tests). Runs on either tier through a node-access policy
-// (core/node_access.h), keeps all queue state in the scratch arena (zero
-// steady-state allocations), and computes keys with the batch kernel the
-// caller supplies, so one node expansion prices all entries in one pass.
+// Geometry-preserving incremental distance browse, shared by the
+// incremental k-NN iterator, group k-NN, reverse k-NN and the NN skyline:
+// the searches that do not know their k up front, key entries by more
+// than one query point, or need the popped box *after* the node holding
+// it is gone (sector assignment, per-source dominance tests). A k-NN
+// search with a fixed k runs the kNN engine's best-first order
+// (core/knn.h) instead, which queues no objects and no boxes.
+//
+// Runs on either tier through a node-access policy (core/node_access.h),
+// keeps all queue state in the scratch arena (zero steady-state
+// allocations), and computes keys with the batch kernel the caller
+// supplies, so one node expansion prices all entries in one pass.
 //
 // Next() surfaces *both* nodes and objects: the caller decides per popped
 // node whether to descend (Expand) or prune it, which is what makes the
@@ -33,8 +37,10 @@ namespace spatial {
 // builds one per Next() call).
 //
 // KeyFn signature: void(const SoaBlock<D>& soa, double* keys) — fills
-// keys[0..soa.n) with the squared-distance key of each staged entry and
-// charges its own distance_computations.
+// keys[0..soa.n) with the key of each staged entry and charges its own
+// distance_computations. A node's key must lower-bound the keys of
+// everything below it: MINDIST^2 for the distance browse, an aggregate of
+// per-source MINDISTs for group k-NN.
 template <int D, class Access, class KeyFn>
 class GeoBrowse {
  public:

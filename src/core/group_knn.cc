@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
-#include "common/macros.h"
-#include "geom/metrics.h"
-#include "rtree/node.h"
+#include "core/geo_browse.h"
+#include "geom/metrics_simd.h"
 
 namespace spatial {
 
@@ -22,33 +20,33 @@ const char* AggregateFnName(AggregateFn fn) {
 
 namespace {
 
-// Aggregate of the (non-squared) MINDISTs from every group member to the
-// rectangle — a lower bound on the aggregate distance of any object in it,
-// exact for point objects' own MBRs.
+// The browse key: the aggregate of the (non-squared) MINDISTs from every
+// group member to each staged box — a lower bound on the aggregate
+// distance of any object in it, exact for point objects' own MBRs. The
+// batch kernel produces the scalar MinDistSq bits, so keys match a
+// per-entry loop exactly.
 template <int D>
-double AggregateLowerBound(const std::vector<Point<D>>& group,
-                           const Rect<D>& mbr, AggregateFn aggregate) {
-  double agg = 0.0;
-  for (const Point<D>& q : group) {
-    const double d = std::sqrt(MinDistSq(q, mbr));
-    if (aggregate == AggregateFn::kSum) {
-      agg += d;
-    } else {
-      agg = std::max(agg, d);
+struct AggregateKey {
+  const std::vector<Point<D>>* group;
+  AggregateFn aggregate;
+  QueryScratch<D>* scratch;
+  QueryStats* stats;
+
+  void operator()(const SoaBlock<D>& soa, double* keys) const {
+    double* member = scratch->min_max_dist.EnsureCapacity(
+        QueryScratch<D>::DistSlots(soa.n));
+    std::fill(keys, keys + soa.n, 0.0);
+    for (const Point<D>& q : *group) {
+      MinDistSqBatchSoa(q, soa, member);
+      for (uint32_t i = 0; i < soa.n; ++i) {
+        const double d = std::sqrt(member[i]);
+        keys[i] = aggregate == AggregateFn::kSum ? keys[i] + d
+                                                 : std::max(keys[i], d);
+      }
     }
-  }
-  return agg;
-}
-
-template <int D>
-struct QueueItem {
-  double key;
-  bool is_object;
-  uint64_t id;
-
-  friend bool operator<(const QueueItem& a, const QueueItem& b) {
-    if (a.key != b.key) return a.key > b.key;  // min-heap
-    return a.is_object < b.is_object;          // objects first on ties
+    if (stats != nullptr) {
+      stats->distance_computations += group->size() * uint64_t{soa.n};
+    }
   }
 };
 
@@ -56,69 +54,39 @@ struct QueueItem {
 
 template <int D>
 Result<std::vector<GroupNeighbor>> GroupKnnSearch(
-    const RTree<D>& tree, const std::vector<Point<D>>& group, uint32_t k,
+    TreeView<D> tree, const std::vector<Point<D>>& group, uint32_t k,
     AggregateFn aggregate, QueryStats* stats) {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   if (group.empty()) {
     return Status::InvalidArgument("query group must not be empty");
   }
-  std::vector<GroupNeighbor> results;
-  results.reserve(k);
-  if (tree.empty()) return results;
-
   // Best-first over the aggregate lower bounds; popping an object proves
   // its aggregate distance minimal among everything unexplored.
-  std::priority_queue<QueueItem<D>> queue;
-  queue.push(QueueItem<D>{0.0, false, tree.root_page()});
-  if (stats != nullptr) ++stats->heap_pushes;
-
-  while (!queue.empty() && results.size() < k) {
-    const QueueItem<D> item = queue.top();
-    queue.pop();
-    if (stats != nullptr) ++stats->heap_pops;
-    if (item.is_object) {
-      results.push_back(GroupNeighbor{item.id, item.key});
-      continue;
-    }
-    SPATIAL_ASSIGN_OR_RETURN(PageHandle handle,
-                             tree.pool()->Fetch(static_cast<PageId>(item.id)));
-    NodeView<D> view(handle.data(), tree.pool()->page_size());
-    if (!view.has_valid_magic()) {
-      return Status::Corruption("group knn: node page has bad magic");
-    }
-    if (stats != nullptr) {
-      ++stats->nodes_visited;
-      if (view.is_leaf()) {
-        ++stats->leaf_nodes_visited;
-      } else {
-        ++stats->internal_nodes_visited;
+  QueryScratch<D> scratch;
+  std::vector<GroupNeighbor> results;
+  SPATIAL_RETURN_IF_ERROR(tree.WithAccess([&](const auto& access) {
+    GeoBrowse browse(access,
+                     AggregateKey<D>{&group, aggregate, &scratch, stats},
+                     &scratch, stats);
+    browse.Start();
+    GeoItem<D> item;
+    while (results.size() < k && browse.Next(&item)) {
+      if (item.is_object) {
+        results.push_back(GroupNeighbor{item.id, item.dist_sq});
+        continue;
       }
+      SPATIAL_RETURN_IF_ERROR(browse.Expand(item));
     }
-    const bool is_leaf = view.is_leaf();
-    const std::vector<Entry<D>> entries = view.GetEntries();
-    handle.Release();
-    for (const Entry<D>& e : entries) {
-      const double key = AggregateLowerBound(group, e.mbr, aggregate);
-      if (stats != nullptr) {
-        stats->distance_computations += group.size();
-        if (is_leaf) {
-          ++stats->objects_examined;
-        } else {
-          ++stats->abl_entries_generated;
-        }
-      }
-      queue.push(QueueItem<D>{key, is_leaf, e.id});
-      if (stats != nullptr) ++stats->heap_pushes;
-    }
-  }
+    return Status::OK();
+  }));
   return results;
 }
 
 template Result<std::vector<GroupNeighbor>> GroupKnnSearch<2>(
-    const RTree<2>&, const std::vector<Point<2>>&, uint32_t, AggregateFn,
+    TreeView<2>, const std::vector<Point<2>>&, uint32_t, AggregateFn,
     QueryStats*);
 template Result<std::vector<GroupNeighbor>> GroupKnnSearch<3>(
-    const RTree<3>&, const std::vector<Point<3>>&, uint32_t, AggregateFn,
+    TreeView<3>, const std::vector<Point<3>>&, uint32_t, AggregateFn,
     QueryStats*);
 
 }  // namespace spatial

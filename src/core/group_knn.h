@@ -5,9 +5,9 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/node_access.h"
 #include "core/query_stats.h"
 #include "geom/point.h"
-#include "rtree/rtree.h"
 
 namespace spatial {
 
@@ -35,17 +35,18 @@ struct GroupNeighbor {
 // The branch-and-bound machinery of the SIGMOD'95 search generalizes
 // directly: agg of the per-query MINDISTs lower-bounds the aggregate
 // distance of every object in a subtree (both kSum and kMax are monotone),
-// so the same best-first pruning applies.
+// so the same best-first pruning applies. The search is a GeoBrowse
+// (core/geo_browse.h) keyed by that aggregate; `tree` is either tier.
 template <int D>
 Result<std::vector<GroupNeighbor>> GroupKnnSearch(
-    const RTree<D>& tree, const std::vector<Point<D>>& group, uint32_t k,
+    TreeView<D> tree, const std::vector<Point<D>>& group, uint32_t k,
     AggregateFn aggregate, QueryStats* stats);
 
 extern template Result<std::vector<GroupNeighbor>> GroupKnnSearch<2>(
-    const RTree<2>&, const std::vector<Point<2>>&, uint32_t, AggregateFn,
+    TreeView<2>, const std::vector<Point<2>>&, uint32_t, AggregateFn,
     QueryStats*);
 extern template Result<std::vector<GroupNeighbor>> GroupKnnSearch<3>(
-    const RTree<3>&, const std::vector<Point<3>>&, uint32_t, AggregateFn,
+    TreeView<3>, const std::vector<Point<3>>&, uint32_t, AggregateFn,
     QueryStats*);
 
 }  // namespace spatial

@@ -1,10 +1,8 @@
 #ifndef SPATIAL_CORE_INCREMENTAL_H_
 #define SPATIAL_CORE_INCREMENTAL_H_
 
-#include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "common/result.h"
 #include "core/neighbor_buffer.h"
@@ -21,8 +19,9 @@ namespace spatial {
 // Each Next() call yields the next-closest object; k is not fixed up front.
 //
 // This is the natural engineering extension of the SIGMOD'95 algorithm
-// (later formalized by Hjaltason & Samet); experiment E8 uses it as the
-// page-access-optimal comparator for the paper's depth-first search.
+// (later formalized by Hjaltason & Samet). A search that knows k up front
+// runs BestFirstKnn (core/knn.h) instead, which visits the same nodes
+// without queueing objects or their boxes.
 //
 // The iterator is a thin adapter over GeoBrowse (core/geo_browse.h): it
 // keys entries by MINDIST, expands every node it pops and returns the
@@ -60,28 +59,6 @@ class IncrementalKnn {
 extern template class IncrementalKnn<2>;
 extern template class IncrementalKnn<3>;
 extern template class IncrementalKnn<4>;
-
-// Global best-first k-NN: the first k objects of an IncrementalKnn browse.
-// Visits the provably minimal set of R-tree nodes for the query, at the
-// cost of a global priority queue; E8 uses it as the page-access-optimal
-// comparator. Returns fewer than k neighbors iff the tree holds fewer than
-// k objects; k may be arbitrarily large (nothing is reserved up front).
-// `scratch` may be null for a private arena.
-template <int D>
-Result<std::vector<Neighbor>> BestFirstKnn(TreeView<D> tree,
-                                           const Point<D>& query, uint32_t k,
-                                           QueryStats* stats,
-                                           QueryScratch<D>* scratch = nullptr) {
-  if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  std::vector<Neighbor> result;
-  IncrementalKnn<D> scan(tree, query, scratch, stats);
-  while (result.size() < k) {
-    SPATIAL_ASSIGN_OR_RETURN(std::optional<Neighbor> next, scan.Next());
-    if (!next.has_value()) break;
-    result.push_back(*next);
-  }
-  return result;
-}
 
 }  // namespace spatial
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "common/macros.h"
 #include "core/node_access.h"
@@ -58,10 +59,23 @@ struct AblFrame {
   ~AblFrame() { arena->resize(base); }
 };
 
-// The depth-first branch-and-bound search, generic over the node-access
-// policy (core/node_access.h): the policy expands pages from either the
-// paged buffer pool or a compiled ResidentTree, so one traversal serves
-// both tiers with bit-identical answers and visit order.
+// The kNN engine: the paper's branch-and-bound with two visit orders,
+// generic over the node-access policy (core/node_access.h) so one engine
+// serves both tiers with bit-identical answers and visit order. Both
+// orders share the bound pair, the node expansion with its accounting and
+// the fused leaf pass; they differ only in which pending branch is
+// expanded next:
+//
+//  - Depth-first: the paper's ordered search — recursion over an Active
+//    Branch List in one of three orderings, with S1/S2/S3.
+//  - Best-first: a global frontier in ascending-MINDIST order (the E8
+//    comparator, and the approximate search). Epsilon and the visit budget
+//    need the *global* order to bite: the relaxed cutoff is final the
+//    moment the frontier's minimum exceeds bound/(1+eps)^2, with no
+//    depth-first verification tail, and a budget buys the globally most
+//    promising nodes instead of a depth-first prefix of the first subtree
+//    (whose recall collapses, measured in E21). S1/S2 are MINMAXDIST
+//    descent heuristics of the depth-first shape and are not consulted.
 //
 // kObserved selects the instrumented instantiation: stats accumulation,
 // trace counting, and visit recording all compile away when the caller
@@ -72,13 +86,13 @@ struct AblFrame {
 // A non-null `window` makes this the constrained search (docs/QUERIES.md):
 // right after the bound filter, every child and leaf object whose MBR
 // misses the window is dropped. That costs one pointer test per node visit
-// when there is no window.
+// when there is no window. Only the depth-first order takes one.
 template <int D, class Access, bool kObserved>
-class DepthFirstKnn {
+class KnnEngine {
  public:
-  DepthFirstKnn(const Access& access, const Point<D>& query,
-                const KnnOptions& options, const Rect<D>* window,
-                QueryScratch<D>* scratch, QueryStats* stats)
+  KnnEngine(const Access& access, const Point<D>& query,
+            const KnnOptions& options, const Rect<D>* window,
+            QueryScratch<D>* scratch, QueryStats* stats)
       : access_(access),
         query_(query),
         options_(options),
@@ -106,18 +120,87 @@ class DepthFirstKnn {
         // bitwise for every finite double and +-inf, so the exact path is
         // unchanged — no branch needed.
         relax_sq_(1.0 /
-                  ((1.0 + options.epsilon) * (1.0 + options.epsilon))),
-        visit_budget_(options.max_visits) {}
+                  ((1.0 + options.epsilon) * (1.0 + options.epsilon))) {}
 
-  Status Run(std::vector<Neighbor>* out, bool append) {
+  Status Run(bool best_first, std::vector<Neighbor>* out, bool append) {
     scratch_->buffer.Reset(options_.k);
     scratch_->abl.clear();
-    SPATIAL_RETURN_IF_ERROR(Visit(access_.root_page()));
+    SPATIAL_RETURN_IF_ERROR(best_first ? BestFirst()
+                                       : Visit(access_.root_page()));
     scratch_->buffer.ExtractSorted(out, append);
     return Status::OK();
   }
 
  private:
+  // The frontier is lazy (Hjaltason–Samet sibling expansion): an expanded
+  // node's surviving children are appended to the `abl` arena as one
+  // frame behind a single knn_heap entry keyed by their minimum MINDIST,
+  // and the arena only grows during the search. heap_pushes counts every
+  // node entered into the frontier (root and direct-descent slot
+  // included), heap_pops every node taken off it.
+  Status BestFirst() {
+    std::vector<KnnFrameHeapItem>& heap = scratch_->knn_heap;
+    heap.clear();
+    // Direct-descent slot: an expanded node's best child usually beats the
+    // current heap minimum (keys only grow downward), so it is handed to
+    // the next iteration here instead of round-tripping through the heap.
+    // Best-first order is preserved exactly — the slot is only armed when
+    // its key is <= the heap minimum, so it *is* the global minimum (and
+    // stays so: everything pushed while it is armed keys at or above it
+    // by MBR containment).
+    bool has_next = true;
+    AblSlot next{access_.root_page(), 0.0, 0.0};
+    if constexpr (kObserved) {
+      if (stats_ != nullptr) ++stats_->heap_pushes;
+    }
+    for (uint64_t visits = 0;
+         options_.max_visits == 0 || visits < options_.max_visits;
+         ++visits) {
+      AblSlot slot;
+      if (has_next) {
+        slot = next;
+        has_next = false;
+        // The key is a lower bound on every remaining subtree, so one
+        // relaxed-bound comparison terminates the whole search.
+        if (slot.min_dist_sq > PruneBoundSq()) break;
+      } else if (!heap.empty()) {
+        // A frame's key is the exact minimum over its live children, so
+        // the same single comparison terminates before the frame is even
+        // resolved.
+        const KnnFrameHeapItem top = heap.front();
+        if (top.dist_sq > PruneBoundSq()) break;
+        std::pop_heap(heap.begin(), heap.end());
+        heap.pop_back();
+        // Resolve the frame: one scan finds the minimum child (the node to
+        // visit) and the runner-up key, which re-keys the successor frame.
+        AblSlot* slots = scratch_->abl.data();
+        uint32_t m1 = top.pos;
+        double min2 = std::numeric_limits<double>::infinity();
+        for (uint32_t i = top.pos + 1; i < top.end; ++i) {
+          if (MinDistLess(slots[i], slots[m1])) {
+            min2 = slots[m1].min_dist_sq;
+            m1 = i;
+          } else if (slots[i].min_dist_sq < min2) {
+            min2 = slots[i].min_dist_sq;
+          }
+        }
+        slot = slots[m1];
+        if (top.pos + 1 < top.end) {
+          std::swap(slots[m1], slots[top.pos]);
+          heap.push_back(KnnFrameHeapItem{min2, top.pos + 1, top.end});
+          std::push_heap(heap.begin(), heap.end());
+        }
+      } else {
+        break;
+      }
+      if constexpr (kObserved) {
+        if (stats_ != nullptr) ++stats_->heap_pops;
+      }
+      SPATIAL_RETURN_IF_ERROR(Frontier(slot.child, &has_next, &next));
+    }
+    return Status::OK();
+  }
+
   // Current pruning bound for *descent*: actual k-th nearest distance (S3)
   // combined with the MINMAXDIST-based estimate (S2). Branches at MINDIST
   // strictly above the bound cannot improve the result. The bound is
@@ -126,18 +209,9 @@ class DepthFirstKnn {
   // every object inside a skipped subtree satisfies
   // dist^2 >= mindist^2 > bound_at_skip * relax_sq, and bound_at_skip
   // never goes below the final k-th answer distance, which yields the
-  // per-answer contract r_i <= (1+epsilon) * t_i.
-  double PruneBoundSq() const {
-    double bound = max_dist_sq_;
-    if (options_.use_s3) bound = std::min(bound, scratch_->buffer.WorstDistSq());
-    if (s2_active_) bound = std::min(bound, estimate_sq_);
-    // Cross-shard streaming: another shard's published k-th distance is a
-    // valid upper bound on the global k-th distance (core/shared_bound.h).
-    if (options_.shared_bound != nullptr) {
-      bound = std::min(bound, options_.shared_bound->LoadSq());
-    }
-    return bound * relax_sq_;
-  }
+  // per-answer contract r_i <= (1+epsilon) * t_i. The best-first order
+  // never updates the S2 estimate, so it stays +inf there.
+  double PruneBoundSq() const { return ObjectBoundSq() * relax_sq_; }
 
   // Object-level bound: the same combination *without* the epsilon
   // relaxation. Leaf objects have their exact distances in hand by the
@@ -152,6 +226,8 @@ class DepthFirstKnn {
     double bound = max_dist_sq_;
     if (options_.use_s3) bound = std::min(bound, scratch_->buffer.WorstDistSq());
     if (s2_active_) bound = std::min(bound, estimate_sq_);
+    // Cross-shard streaming: another shard's published k-th distance is a
+    // valid upper bound on the global k-th distance (core/shared_bound.h).
     if (options_.shared_bound != nullptr) {
       bound = std::min(bound, options_.shared_bound->LoadSq());
     }
@@ -190,7 +266,28 @@ class DepthFirstKnn {
     return out;
   }
 
-  Status VisitLeaf(const typename Access::Node& node) {
+  // Fetches one node through the access policy and charges the visit.
+  Status Expand(PageId node_id, typename Access::Node* storage,
+                const typename Access::Node** node) {
+    SPATIAL_RETURN_IF_ERROR(access_.Expand(node_id, scratch_, storage, node));
+    if constexpr (kObserved) {
+      if (stats_ != nullptr) {
+        ++stats_->nodes_visited;
+        if ((*node)->is_leaf()) {
+          ++stats_->leaf_nodes_visited;
+        } else {
+          ++stats_->internal_nodes_visited;
+        }
+      }
+      if (obs::TraceContext* t = scratch_->trace) t->CountNode((*node)->level);
+      if (options_.visit_trace != nullptr) {
+        options_.visit_trace->push_back(node_id);
+      }
+    }
+    return Status::OK();
+  }
+
+  void VisitLeaf(const typename Access::Node& node) {
     // Object distances through the dispatched SoA kernel over the node's
     // planes — staged per visit by the paged backend, precomputed at
     // compile time by the resident one. Distance evaluation and the entry-
@@ -236,45 +333,22 @@ class DepthFirstKnn {
         bound_sq = ObjectBoundSq();
       }
     }
-    return Status::OK();
   }
 
+  // One depth-first step: expands `node_id` and recurses into its
+  // children in ABL order.
   Status Visit(PageId node_id) {
-    // Early-termination budget (kApproxKnn): once max_visits nodes have
-    // been expanded the whole descent unwinds and the buffer's current
-    // contents become the answer. Checked before the expand so the visit
-    // that trips the budget is never charged.
-    if (visit_budget_ != 0) {
-      if (visits_ >= visit_budget_) {
-        stopped_ = true;
-        return Status::OK();
-      }
-      ++visits_;
-    }
     typename Access::Node storage;
     const typename Access::Node* node_ptr = nullptr;
-    SPATIAL_RETURN_IF_ERROR(
-        access_.Expand(node_id, scratch_, &storage, &node_ptr));
+    SPATIAL_RETURN_IF_ERROR(Expand(node_id, &storage, &node_ptr));
     const typename Access::Node& node = *node_ptr;
-    if constexpr (kObserved) {
-      if (stats_ != nullptr) {
-        ++stats_->nodes_visited;
-        if (node.is_leaf()) {
-          ++stats_->leaf_nodes_visited;
-        } else {
-          ++stats_->internal_nodes_visited;
-        }
-      }
-      if (obs::TraceContext* t = scratch_->trace) t->CountNode(node.level);
-      if (options_.visit_trace != nullptr) {
-        options_.visit_trace->push_back(node_id);
-      }
-    }
-
     const uint32_t n = node.count;
     if (n == 0) return Status::OK();
 
-    if (node.is_leaf()) return VisitLeaf(node);
+    if (node.is_leaf()) {
+      VisitLeaf(node);
+      return Status::OK();
+    }
 
     // Internal node: the planes and the dense child-id column are ready
     // (Expand already dropped any pin), so go straight to the metrics.
@@ -426,7 +500,6 @@ class DepthFirstKnn {
         }
         slots[best] = slots[--live];  // unordered remove; the set survives
         SPATIAL_RETURN_IF_ERROR(Visit(slot.child));
-        if (stopped_) break;
       }
       return Status::OK();
     }
@@ -462,7 +535,74 @@ class DepthFirstKnn {
         continue;
       }
       SPATIAL_RETURN_IF_ERROR(Visit(slot.child));
-      if (stopped_) break;
+    }
+    return Status::OK();
+  }
+
+  // One best-first step: expands `node_id`; an internal node's children
+  // within the relaxed bound join the frontier and the rest are pruned now
+  // (they could only be re-tested against an even tighter bound later).
+  Status Frontier(PageId node_id, bool* has_next, AblSlot* next) {
+    typename Access::Node storage;
+    const typename Access::Node* node_ptr = nullptr;
+    SPATIAL_RETURN_IF_ERROR(Expand(node_id, &storage, &node_ptr));
+    const typename Access::Node& node = *node_ptr;
+    const uint32_t n = node.count;
+    if (n == 0) return Status::OK();
+    if (node.is_leaf()) {
+      VisitLeaf(node);
+      return Status::OK();
+    }
+
+    const uint64_t* child_ids = node.dense_ids();
+    const auto& soa = NodeSoa(node);
+    double* dist =
+        scratch_->min_dist.EnsureCapacity(QueryScratch<D>::DistSlots(n));
+    uint32_t* idx =
+        scratch_->filter_idx.EnsureCapacity(QueryScratch<D>::DistSlots(n));
+    const uint32_t kept = ks_.min_dist_filter(query_.coord.data(), soa.planes,
+                                              soa.stride, soa.n,
+                                              PruneBoundSq(), dist, idx);
+    if constexpr (kObserved) {
+      if (stats_ != nullptr) {
+        stats_->abl_entries_generated += n;
+        stats_->distance_computations += n;
+        stats_->pruned_s3 += n - kept;
+        stats_->heap_pushes += kept;
+      }
+    }
+    if (kept == 0) return Status::OK();
+    // The best child goes to the direct-descent slot when it is already at
+    // or below the heap minimum (tie goes to descent — equal keys may be
+    // expanded in either order without affecting any bound); its siblings
+    // become one frame.
+    uint32_t best = idx[0];
+    for (uint32_t j = 1; j < kept; ++j) {
+      const uint32_t i = idx[j];
+      if (dist[i] < dist[best] ||
+          (dist[i] == dist[best] && child_ids[i] < child_ids[best])) {
+        best = i;
+      }
+    }
+    std::vector<KnnFrameHeapItem>& heap = scratch_->knn_heap;
+    std::vector<AblSlot>& abl = scratch_->abl;
+    const bool descend = heap.empty() || !(heap.front().dist_sq < dist[best]);
+    const uint32_t start = static_cast<uint32_t>(abl.size());
+    double frame_min = std::numeric_limits<double>::infinity();
+    for (uint32_t j = 0; j < kept; ++j) {
+      const uint32_t i = idx[j];
+      if (descend && i == best) continue;
+      if (dist[i] < frame_min) frame_min = dist[i];
+      abl.push_back(AblSlot{static_cast<PageId>(child_ids[i]), dist[i], 0.0});
+    }
+    if (abl.size() > start) {
+      heap.push_back(KnnFrameHeapItem{frame_min, start,
+                                      static_cast<uint32_t>(abl.size())});
+      std::push_heap(heap.begin(), heap.end());
+    }
+    if (descend) {
+      *has_next = true;
+      *next = AblSlot{static_cast<PageId>(child_ids[best]), dist[best], 0.0};
     }
     return Status::OK();
   }
@@ -483,282 +623,33 @@ class DepthFirstKnn {
   const bool lazy_select_;
   const double max_dist_sq_;
   const double relax_sq_;
-  const uint64_t visit_budget_;
-  uint64_t visits_ = 0;
-  bool stopped_ = false;
   double estimate_sq_ = std::numeric_limits<double>::infinity();
 };
 
-// Global best-first traversal for the approximate search (an active
-// epsilon and/or visit budget): nodes are expanded in ascending-MINDIST
-// order off one priority queue instead of depth-first, because both knobs
-// need the *global* order to bite:
-//
-//  - The epsilon-relaxed cutoff is final the moment the queue's minimum
-//    key exceeds bound/(1+eps)^2 — every unexpanded node is at least that
-//    far, so the traversal ends without the verification tail the
-//    depth-first shape pays (DFS must keep visiting siblings to prove the
-//    bound; the global order proves it by construction).
-//  - A visit budget spent here buys the globally most promising nodes.
-//    Spent on a DFS it buys a depth-first prefix of the first subtree,
-//    which is why budgeted DFS recall collapses (measured in E21).
-//
-// Exact kNN keeps the paper's depth-first engine untouched; this path is
-// entered only when an approximation knob is active, so zero-knob
-// requests remain bit-identical to the exact search by running the same
-// code. S1/S2 are MINMAXDIST descent heuristics of the DFS shape (k = 1
-// only) and are not consulted here; S3, max_distance, and the shared
-// shard bound compose exactly as in the DFS engine — objects compete at
-// the unrelaxed bound, descent and termination use the relaxed one, so
-// the (1+epsilon) per-rank contract argument carries over unchanged.
+// An active approximation knob selects the best-first order; zero-knob
+// searches take the paper's depth-first order.
+inline bool Approximate(const KnnOptions& options) {
+  return options.epsilon > 0.0 || options.max_visits != 0;
+}
+
 template <int D, class Access, bool kObserved>
-class BestFirstApproxKnn {
- public:
-  BestFirstApproxKnn(const Access& access, const Point<D>& query,
-                     const KnnOptions& options, QueryScratch<D>* scratch,
-                     QueryStats* stats)
-      : access_(access),
-        query_(query),
-        options_(options),
-        scratch_(scratch),
-        stats_(stats),
-        max_dist_sq_(options.max_distance * options.max_distance),
-        relax_sq_(1.0 /
-                  ((1.0 + options.epsilon) * (1.0 + options.epsilon))),
-        visit_budget_(options.max_visits) {}
-
-  Status Run(std::vector<Neighbor>* out, bool append) {
-    scratch_->buffer.Reset(options_.k);
-    std::vector<KnnFrameHeapItem>& heap = scratch_->knn_heap;
-    std::vector<KnnChildSlot>& kids = scratch_->knn_children;
-    heap.clear();
-    kids.clear();
-    uint64_t visits = 0;
-    // Direct-descent slot: an expanded node's best child usually beats the
-    // current heap minimum (keys only grow downward), so it is handed to
-    // the next iteration here instead of round-tripping through the heap.
-    // Best-first order is preserved exactly — the slot is only armed when
-    // its key is <= the heap minimum, so it *is* the global minimum (and
-    // stays so: everything pushed while it is armed keys at or above it
-    // by MBR containment).
-    bool has_next = true;
-    double next_key = 0.0;
-    PageId next_node = access_.root_page();
-    while (true) {
-      if (visit_budget_ != 0 && visits >= visit_budget_) break;
-      double key;
-      PageId node_id;
-      if (has_next) {
-        key = next_key;
-        node_id = next_node;
-        has_next = false;
-        // The key is a lower bound on every remaining subtree, so one
-        // relaxed-bound comparison terminates the whole search.
-        if (key > PruneBoundSq()) break;
-      } else if (!heap.empty()) {
-        // A frame's key is the exact minimum over its live children, so
-        // the same single comparison terminates before the frame is even
-        // resolved.
-        const KnnFrameHeapItem top = heap.front();
-        if (top.dist_sq > PruneBoundSq()) break;
-        std::pop_heap(heap.begin(), heap.end());
-        heap.pop_back();
-        // Resolve the frame: one scan finds the minimum child (the node to
-        // visit) and the runner-up key, which re-keys the successor frame.
-        KnnChildSlot* slot = kids.data();
-        uint32_t m1 = top.pos;
-        double min2 = std::numeric_limits<double>::infinity();
-        for (uint32_t i = top.pos + 1; i < top.end; ++i) {
-          if (slot[i].dist_sq < slot[m1].dist_sq ||
-              (slot[i].dist_sq == slot[m1].dist_sq &&
-               slot[i].page < slot[m1].page)) {
-            min2 = slot[m1].dist_sq;
-            m1 = i;
-          } else if (slot[i].dist_sq < min2) {
-            min2 = slot[i].dist_sq;
-          }
-        }
-        key = slot[m1].dist_sq;
-        node_id = static_cast<PageId>(slot[m1].page);
-        if (top.pos + 1 < top.end) {
-          std::swap(slot[m1], slot[top.pos]);
-          heap.push_back(KnnFrameHeapItem{min2, top.pos + 1, top.end});
-          std::push_heap(heap.begin(), heap.end());
-        }
-      } else {
-        break;
-      }
-      ++visits;
-      SPATIAL_RETURN_IF_ERROR(
-          Visit(node_id, &has_next, &next_key, &next_node));
-    }
-    scratch_->buffer.ExtractSorted(out, append);
-    return Status::OK();
-  }
-
- private:
-  // Same bound pair as the DFS engine (minus S2, which never arms here):
-  // descent and termination at the relaxed bound, object competition at
-  // the exact one.
-  double PruneBoundSq() const {
-    double bound = max_dist_sq_;
-    if (options_.use_s3) bound = std::min(bound, scratch_->buffer.WorstDistSq());
-    if (options_.shared_bound != nullptr) {
-      bound = std::min(bound, options_.shared_bound->LoadSq());
-    }
-    return bound * relax_sq_;
-  }
-  double ObjectBoundSq() const {
-    double bound = max_dist_sq_;
-    if (options_.use_s3) bound = std::min(bound, scratch_->buffer.WorstDistSq());
-    if (options_.shared_bound != nullptr) {
-      bound = std::min(bound, options_.shared_bound->LoadSq());
-    }
-    return bound;
-  }
-
-  void PublishBound() {
-    if (options_.shared_bound != nullptr && scratch_->buffer.full()) {
-      options_.shared_bound->TightenSq(scratch_->buffer.WorstDistSq());
-    }
-  }
-
-  Status Visit(PageId node_id, bool* has_next, double* next_key,
-               PageId* next_node) {
-    typename Access::Node storage;
-    const typename Access::Node* node_ptr = nullptr;
-    SPATIAL_RETURN_IF_ERROR(
-        access_.Expand(node_id, scratch_, &storage, &node_ptr));
-    const typename Access::Node& node = *node_ptr;
-    if constexpr (kObserved) {
-      if (stats_ != nullptr) {
-        ++stats_->nodes_visited;
-        if (node.is_leaf()) {
-          ++stats_->leaf_nodes_visited;
-        } else {
-          ++stats_->internal_nodes_visited;
-        }
-      }
-      if (obs::TraceContext* t = scratch_->trace) t->CountNode(node.level);
-      if (options_.visit_trace != nullptr) {
-        options_.visit_trace->push_back(node_id);
-      }
-    }
-
-    const uint32_t n = node.count;
-    if (n == 0) return Status::OK();
-    const auto& soa = NodeSoa(node);
-    double* dist =
-        scratch_->min_dist.EnsureCapacity(QueryScratch<D>::DistSlots(n));
-    uint32_t* idx =
-        scratch_->filter_idx.EnsureCapacity(QueryScratch<D>::DistSlots(n));
-
-    if (node.is_leaf()) {
-      // Identical to the DFS leaf pass: fused distance + exact-bound
-      // prefilter, offers at the unrelaxed bound.
-      NeighborBuffer& buffer = scratch_->buffer;
-      double bound_sq = ObjectBoundSq();
-      const uint32_t kept = ks_.min_dist_filter(query_.coord.data(),
-                                                soa.planes, soa.stride, soa.n,
-                                                bound_sq, dist, idx);
-      if constexpr (kObserved) {
-        if (stats_ != nullptr) {
-          stats_->objects_examined += n;
-          stats_->distance_computations += n;
-          stats_->pruned_leaf += n - kept;
-        }
-      }
-      for (uint32_t j = 0; j < kept; ++j) {
-        const uint32_t i = idx[j];
-        if (dist[i] > bound_sq) {
-          if constexpr (kObserved) {
-            if (stats_ != nullptr) ++stats_->pruned_leaf;
-          }
-          continue;
-        }
-        if (buffer.Offer(node.id(i), dist[i])) {
-          PublishBound();
-          bound_sq = ObjectBoundSq();
-        }
-      }
-      return Status::OK();
-    }
-
-    // Internal node: children at MINDIST within the relaxed bound join the
-    // global queue; the rest are pruned now (they could only be re-tested
-    // against an even tighter bound later).
-    const uint64_t* child_ids = node.dense_ids();
-    const uint32_t kept = ks_.min_dist_filter(query_.coord.data(), soa.planes,
-                                              soa.stride, soa.n,
-                                              PruneBoundSq(), dist, idx);
-    if constexpr (kObserved) {
-      if (stats_ != nullptr) {
-        stats_->abl_entries_generated += n;
-        stats_->distance_computations += n;
-        stats_->pruned_s3 += n - kept;
-      }
-    }
-    if (kept == 0) return Status::OK();
-    // The best child goes to the direct-descent slot when it is already at
-    // or below the heap minimum (tie goes to descent — equal keys may be
-    // expanded in either order without affecting any bound); its siblings
-    // become one arena frame behind a single heap entry keyed by their
-    // minimum (lazy sibling expansion — see KnnFrameHeapItem).
-    uint32_t best = idx[0];
-    for (uint32_t j = 1; j < kept; ++j) {
-      const uint32_t i = idx[j];
-      if (dist[i] < dist[best] ||
-          (dist[i] == dist[best] && child_ids[i] < child_ids[best])) {
-        best = i;
-      }
-    }
-    std::vector<KnnFrameHeapItem>& heap = scratch_->knn_heap;
-    std::vector<KnnChildSlot>& kids = scratch_->knn_children;
-    const bool descend = heap.empty() || !(heap.front().dist_sq < dist[best]);
-    const uint32_t start = static_cast<uint32_t>(kids.size());
-    double frame_min = std::numeric_limits<double>::infinity();
-    for (uint32_t j = 0; j < kept; ++j) {
-      const uint32_t i = idx[j];
-      if (descend && i == best) continue;
-      if (dist[i] < frame_min) frame_min = dist[i];
-      kids.push_back(KnnChildSlot{dist[i], child_ids[i]});
-    }
-    if (kids.size() > start) {
-      heap.push_back(KnnFrameHeapItem{frame_min, start,
-                                      static_cast<uint32_t>(kids.size())});
-      std::push_heap(heap.begin(), heap.end());
-    }
-    if (descend) {
-      *has_next = true;
-      *next_key = dist[best];
-      *next_node = static_cast<PageId>(child_ids[best]);
-    }
-    return Status::OK();
-  }
-
-  const Access access_;
-  const Point<D> query_;
-  const KnnOptions options_;
-  QueryScratch<D>* scratch_;
-  QueryStats* stats_;
-  const SoaKernelSet& ks_ = SoaKernels<D>();
-  const double max_dist_sq_;
-  const double relax_sq_;
-  const uint64_t visit_budget_;
-};
+Status RunKnn(const Access& access, const Point<D>& query,
+              const KnnOptions& options, const Rect<D>* window,
+              bool best_first, QueryScratch<D>* scratch, QueryStats* stats,
+              std::vector<Neighbor>* out, bool append) {
+  return KnnEngine<D, Access, kObserved>(access, query, options, window,
+                                         scratch, stats)
+      .Run(best_first, out, append);
+}
 
 template <int D, class Access>
 Status KnnSearchIntoImpl(const Access& access, const Point<D>& query,
-                         const KnnOptions& options, QueryScratch<D>* scratch,
-                         std::vector<Neighbor>* out, QueryStats* stats,
-                         const Rect<D>* window) {
+                         const KnnOptions& options, const Rect<D>* window,
+                         bool best_first, QueryScratch<D>* scratch,
+                         std::vector<Neighbor>* out, QueryStats* stats) {
   SPATIAL_CHECK(scratch != nullptr && out != nullptr);
   SPATIAL_RETURN_IF_ERROR(options.Validate());
-  // An active approximation knob selects the best-first engine; zero-knob
-  // searches take the paper's depth-first engine, bit for bit. Only the
-  // latter takes a window.
-  const bool approx = options.epsilon > 0.0 || options.max_visits != 0;
-  if (window != nullptr && approx) {
+  if (window != nullptr && best_first) {
     return Status::InvalidArgument(
         "a window excludes epsilon and max_visits");
   }
@@ -768,23 +659,13 @@ Status KnnSearchIntoImpl(const Access& access, const Point<D>& query,
   }
   if (stats == nullptr && options.visit_trace == nullptr &&
       scratch->trace == nullptr) {
-    if (approx) {
-      BestFirstApproxKnn<D, Access, /*kObserved=*/false> search(
-          access, query, options, scratch, stats);
-      return search.Run(out, /*append=*/false);
-    }
-    DepthFirstKnn<D, Access, /*kObserved=*/false> search(
-        access, query, options, window, scratch, stats);
-    return search.Run(out, /*append=*/false);
+    return RunKnn<D, Access, /*kObserved=*/false>(
+        access, query, options, window, best_first, scratch, stats, out,
+        /*append=*/false);
   }
-  if (approx) {
-    BestFirstApproxKnn<D, Access, /*kObserved=*/true> search(
-        access, query, options, scratch, stats);
-    return search.Run(out, /*append=*/false);
-  }
-  DepthFirstKnn<D, Access, /*kObserved=*/true> search(
-      access, query, options, window, scratch, stats);
-  return search.Run(out, /*append=*/false);
+  return RunKnn<D, Access, /*kObserved=*/true>(access, query, options,
+                                               window, best_first, scratch,
+                                               stats, out, /*append=*/false);
 }
 
 template <int D, class Access>
@@ -798,10 +679,10 @@ Status KnnSearchBatchImpl(const Access& access, const Point<D>* queries,
   for (size_t q = 0; q < num_queries; ++q) {
     out->stats.emplace_back();
     if (!access.empty()) {
-      DepthFirstKnn<D, Access, /*kObserved=*/true> search(
-          access, queries[q], options, /*window=*/nullptr, scratch,
-          &out->stats.back());
-      SPATIAL_RETURN_IF_ERROR(search.Run(&out->neighbors, /*append=*/true));
+      SPATIAL_RETURN_IF_ERROR((RunKnn<D, Access, /*kObserved=*/true>(
+          access, queries[q], options, /*window=*/nullptr,
+          Approximate(options), scratch, &out->stats.back(), &out->neighbors,
+          /*append=*/true)));
     }
     out->offsets.push_back(static_cast<uint32_t>(out->neighbors.size()));
   }
@@ -816,9 +697,26 @@ Status KnnSearchInto(TreeView<D> tree, const Point<D>& query,
                      std::vector<Neighbor>* out, QueryStats* stats,
                      const Rect<D>* window) {
   return tree.WithAccess([&](const auto& access) {
-    return KnnSearchIntoImpl<D>(access, query, options, scratch, out, stats,
-                                window);
+    return KnnSearchIntoImpl<D>(access, query, options, window,
+                                Approximate(options), scratch, out, stats);
   });
+}
+
+template <int D>
+Result<std::vector<Neighbor>> BestFirstKnn(TreeView<D> tree,
+                                           const Point<D>& query, uint32_t k,
+                                           QueryStats* stats,
+                                           QueryScratch<D>* scratch) {
+  KnnOptions options;
+  options.k = k;
+  std::optional<QueryScratch<D>> owned;
+  if (scratch == nullptr) scratch = &owned.emplace();
+  std::vector<Neighbor> out;
+  SPATIAL_RETURN_IF_ERROR(tree.WithAccess([&](const auto& access) {
+    return KnnSearchIntoImpl<D>(access, query, options, /*window=*/nullptr,
+                                /*best_first=*/true, scratch, &out, stats);
+  }));
+  return out;
 }
 
 template <int D>
@@ -868,6 +766,19 @@ template Status KnnSearchInto<4>(TreeView<4>, const Point<4>&,
                                  const KnnOptions&, QueryScratch<4>*,
                                  std::vector<Neighbor>*, QueryStats*,
                                  const Rect<4>*);
+
+template Result<std::vector<Neighbor>> BestFirstKnn<2>(TreeView<2>,
+                                                       const Point<2>&,
+                                                       uint32_t, QueryStats*,
+                                                       QueryScratch<2>*);
+template Result<std::vector<Neighbor>> BestFirstKnn<3>(TreeView<3>,
+                                                       const Point<3>&,
+                                                       uint32_t, QueryStats*,
+                                                       QueryScratch<3>*);
+template Result<std::vector<Neighbor>> BestFirstKnn<4>(TreeView<4>,
+                                                       const Point<4>&,
+                                                       uint32_t, QueryStats*,
+                                                       QueryScratch<4>*);
 
 template Status KnnSearchBatch<2>(TreeView<2>, const Point<2>*, size_t,
                                   const KnnOptions&, QueryScratch<2>*,

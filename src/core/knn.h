@@ -73,14 +73,16 @@ struct KnnOptions {
   // distance r_i satisfies r_i <= (1+epsilon) * t_i against the true i-th
   // distance t_i. Objects inside visited leaves still compete at the
   // exact bound — their distances are already computed, so relaxing there
-  // would cost recall without saving work. epsilon = 0 is bit-identical
-  // to the exact search (the relaxation multiplies the bound by exactly
-  // 1.0). Exact request kinds must leave this at 0; the service enforces
-  // that.
+  // would cost recall without saving work. Exact request kinds must leave
+  // this at 0; the service enforces that.
+  //
+  // A nonzero epsilon or max_visits runs the search in best-first order
+  // (see BestFirstKnn); with both at zero it runs the paper's depth-first
+  // order.
   double epsilon = 0.0;
 
   // Early-termination visit budget: after max_visits node visits the
-  // descent stops and the best candidates found so far are returned. No
+  // search stops and the best candidates found so far are returned. No
   // distance contract — recall is an empirical property measured by the
   // E21 harness. 0 (the default) means unlimited.
   uint64_t max_visits = 0;
@@ -106,8 +108,9 @@ struct KnnOptions {
 
 // Finds the k objects of `tree` nearest to `query` using the ordered
 // depth-first branch-and-bound algorithm of "Nearest Neighbor Queries"
-// (SIGMOD 1995). Returns fewer than k neighbors iff the tree holds fewer
-// than k objects. `stats` may be null.
+// (SIGMOD 1995), or its best-first order when epsilon or max_visits is
+// set. Returns fewer than k neighbors iff the tree holds fewer than k
+// objects. `stats` may be null.
 template <int D>
 Result<std::vector<Neighbor>> KnnSearch(const RTree<D>& tree,
                                         const Point<D>& query,
@@ -173,6 +176,20 @@ Status KnnSearchBatch(TreeView<D> tree, const Point<D>* queries,
                       size_t num_queries, const KnnOptions& options,
                       QueryScratch<D>* scratch, BatchKnnResult* out);
 
+// Global best-first k-NN: the same engine as KnnSearchInto in its
+// best-first order (the one epsilon and max_visits select) with both knobs
+// at zero. Nodes are expanded in ascending-MINDIST order off one frontier,
+// so the search visits the provably minimal set of R-tree nodes for the
+// query; E8 uses it as the page-access-optimal comparator. The options
+// are KnnOptions' defaults with `k`. Returns fewer than k neighbors iff the
+// tree holds fewer than k objects; k may be arbitrarily large (nothing is
+// reserved up front). `scratch` may be null for a private arena.
+template <int D>
+Result<std::vector<Neighbor>> BestFirstKnn(TreeView<D> tree,
+                                           const Point<D>& query, uint32_t k,
+                                           QueryStats* stats,
+                                           QueryScratch<D>* scratch = nullptr);
+
 extern template Result<std::vector<Neighbor>> KnnSearch<2>(
     const RTree<2>&, const Point<2>&, const KnnOptions&, QueryStats*);
 extern template Result<std::vector<Neighbor>> KnnSearch<3>(
@@ -192,6 +209,13 @@ extern template Status KnnSearchInto<4>(TreeView<4>, const Point<4>&,
                                         const KnnOptions&, QueryScratch<4>*,
                                         std::vector<Neighbor>*, QueryStats*,
                                         const Rect<4>*);
+
+extern template Result<std::vector<Neighbor>> BestFirstKnn<2>(
+    TreeView<2>, const Point<2>&, uint32_t, QueryStats*, QueryScratch<2>*);
+extern template Result<std::vector<Neighbor>> BestFirstKnn<3>(
+    TreeView<3>, const Point<3>&, uint32_t, QueryStats*, QueryScratch<3>*);
+extern template Result<std::vector<Neighbor>> BestFirstKnn<4>(
+    TreeView<4>, const Point<4>&, uint32_t, QueryStats*, QueryScratch<4>*);
 
 extern template Status KnnSearchBatch<2>(TreeView<2>, const Point<2>*, size_t,
                                          const KnnOptions&, QueryScratch<2>*,

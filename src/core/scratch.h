@@ -82,22 +82,14 @@ struct AblSlot {
   double min_max_dist_sq = 0.0;
 };
 
-// Child-arena slot of the best-first approximate kNN engine (core/knn.cc):
-// a bare (MINDIST, page) pair. An expanded node's surviving children are
-// appended as one contiguous *frame* of these; the frame is consumed by
-// linear min-scans, never heap-ordered, so appends are plain push_backs.
-struct KnnChildSlot {
-  double dist_sq = 0.0;
-  uint64_t page = 0;
-};
-
-// Priority-queue item of the same engine: one *frame* of unvisited
-// children (lazy sibling expansion, Hjaltason–Samet style), keyed by the
-// exact minimum MINDIST over the frame's live slots
-// [pos, end) in QueryScratch::knn_children. Queueing a frame instead of
-// its members keeps heap traffic at O(1) per node visit — one pop plus at
-// most one successor re-push — where a per-child queue pays fan-out
-// push_heaps for siblings that are mostly never expanded. Min-heap under
+// Priority-queue item of the kNN engine's best-first order (core/knn.cc):
+// one *frame* of unvisited children (lazy sibling expansion, Hjaltason–
+// Samet style), keyed by the exact minimum MINDIST over the frame's live
+// slots [pos, end) in QueryScratch::abl. The frame is consumed by linear
+// min-scans, never heap-ordered. Queueing a frame instead of its members
+// keeps heap traffic at O(1) per node visit — one pop plus at most one
+// successor re-push — where a per-child queue pays fan-out push_heaps for
+// siblings that are mostly never expanded. Min-heap under
 // std::push_heap/pop_heap; pos breaks key ties so pop order is
 // deterministic per tree shape.
 struct KnnFrameHeapItem {
@@ -112,8 +104,8 @@ struct KnnFrameHeapItem {
 };
 
 // Priority-queue entry of the best-first browse (core/geo_browse.h: the
-// incremental k-NN iterator, reverse k-NN, NN skyline): a subtree keyed by
-// MINDIST or an object keyed by its distance. Its box sits in
+// incremental k-NN iterator, group k-NN, reverse k-NN, NN skyline): a
+// subtree keyed by MINDIST or an object keyed by its distance. Its box sits in
 // QueryScratch::geo_boxes at index `box` rather than in the entry, which
 // keeps heap moves at 24 bytes — carrying the 2-D box inline (56 bytes)
 // made the incremental scan measurably slower. Min-heap under
@@ -182,14 +174,13 @@ struct QueryScratch {
   // vector kernels (full-vector stores may touch the padded tail).
   static constexpr size_t DistSlots(uint32_t n) { return SoaStride(n); }
 
-  // Active Branch List arena shared by all recursion levels with stack
+  // Child arena of the kNN engine, in both orders. Depth-first, it is the
+  // Active Branch List shared by all recursion levels with stack
   // discipline: each Visit() records the current size as its frame base,
-  // appends its slots, and truncates back on exit.
+  // appends its slots, and truncates back on exit. Best-first, it only
+  // grows: each expanded node appends one frame, which knn_heap queues.
   std::vector<AblSlot> abl;
-
-  // Frame queue and child arena of the best-first approximate kNN engine.
   std::vector<KnnFrameHeapItem> knn_heap;
-  std::vector<KnnChildSlot> knn_children;
 
   // Best-first browse queue (core/geo_browse.h) with its entries' boxes,
   // and the staging vectors of the reverse-kNN and NN-skyline traversals
@@ -204,7 +195,7 @@ struct QueryScratch {
   std::vector<double> geo_dists;
   std::vector<Neighbor> tmp_neighbors;
 
-  // Candidate buffer of the depth-first search; Reset(k) re-arms it per
+  // Candidate buffer of the kNN engine; Reset(k) re-arms it per
   // query without releasing storage.
   NeighborBuffer buffer{1};
 

@@ -164,9 +164,14 @@ Status ServingDb<D>::ApplyBatch(const std::vector<WriteOp>& ops,
     return Status::Internal("serving db has no wal (open never finished)");
   }
   if (ops.empty()) return Status::OK();
+  // Every op's MBR is checked before anything is logged: an op the tree
+  // would reject after the commit would kill the db, and replay would
+  // reject it again on every reopen.
   for (const WriteOp& op : ops) {
-    if (op.is_insert && !op.mbr.IsValid()) {
-      return Status::InvalidArgument("insert with an empty MBR");
+    if (!op.mbr.IsValid()) {
+      return Status::InvalidArgument(op.is_insert
+                                         ? "insert with an invalid MBR"
+                                         : "delete with an invalid MBR");
     }
   }
 

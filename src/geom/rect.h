@@ -48,8 +48,14 @@ struct Rect {
     return false;
   }
 
-  // True iff lo <= hi in every dimension (degenerate boxes are valid).
-  bool IsValid() const { return !IsEmpty(); }
+  // True iff lo <= hi in every dimension (degenerate boxes are valid). A
+  // NaN bound fails the test, so it is not valid either.
+  bool IsValid() const {
+    for (int i = 0; i < D; ++i) {
+      if (!(lo[i] <= hi[i])) return false;
+    }
+    return true;
+  }
 
   bool Contains(const Point<D>& p) const {
     for (int i = 0; i < D; ++i) {

@@ -3,7 +3,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 
 #include "core/query_stats.h"
@@ -229,6 +231,18 @@ void EncodeRequest(const QueryRequest<D>& request, std::string* out) {
   for (const Point<D>& p : request.batch_queries) PutPoint<D>(out, p);
 }
 
+namespace {
+
+template <int D>
+bool IsFinite(const Point<D>& p) {
+  for (int d = 0; d < D; ++d) {
+    if (!std::isfinite(p[d])) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 template <int D>
 Result<QueryRequest<D>> DecodeRequest(const uint8_t* data, size_t len) {
   Reader r(data, len);
@@ -275,6 +289,21 @@ Result<QueryRequest<D>> DecodeRequest(const uint8_t* data, size_t len) {
     request.batch_queries.push_back(GetPoint<D>(r));
   }
   if (!r.AtEnd()) return Truncated();
+  // Well-formed bytes, bad values: a non-finite query point has no
+  // meaningful neighbors, and a NaN bound makes every MBR test false.
+  // Infinite window bounds stay legal — Rect::Empty(), the window of every
+  // kind without one, is made of them.
+  bool finite = IsFinite(request.query);
+  for (const Point<D>& p : request.batch_queries) {
+    finite = finite && IsFinite(p);
+  }
+  if (!finite) return Status::InvalidArgument("wire: non-finite query point");
+  const Rect<D>& w = request.window;
+  for (int d = 0; d < D; ++d) {
+    if (std::isnan(w.lo[d]) || std::isnan(w.hi[d])) {
+      return Status::InvalidArgument("wire: NaN window bound");
+    }
+  }
   return request;
 }
 
@@ -494,9 +523,18 @@ Status RecvFrame(int fd, std::string* payload) {
   if (len > kMaxFrameBytes) {
     return Status::Corruption("wire: frame length exceeds kMaxFrameBytes");
   }
-  payload->resize(len);
-  if (len == 0) return Status::OK();
-  return ReadAll(fd, payload->data(), len, nullptr);
+  // The buffer grows as bytes arrive, at most kRecvChunk ahead of what has
+  // been read, so a bare header cannot make this thread hold the declared
+  // length. A frame up to kRecvChunk is one resize and one ReadAll.
+  constexpr size_t kRecvChunk = 64 << 10;
+  payload->clear();
+  for (size_t got = 0; got < len;) {
+    const size_t chunk = std::min<size_t>(len - got, kRecvChunk);
+    payload->resize(got + chunk);
+    SPATIAL_RETURN_IF_ERROR(ReadAll(fd, payload->data() + got, chunk, nullptr));
+    got += chunk;
+  }
+  return Status::OK();
 }
 
 Status SendHandshake(int fd, const WireHandshake& hs) {

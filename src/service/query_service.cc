@@ -183,6 +183,16 @@ std::future<QueryResponse<D>> QueryService<D>::Submit(
     task.promise.set_value(std::move(response));
     return future;
   }
+  // A malformed MBR is answered here, so it never reaches the writer and
+  // cannot fail the other writes of its group commit.
+  const QueryKind kind = task.request.kind;
+  if ((kind == QueryKind::kInsert || kind == QueryKind::kDelete) &&
+      !task.request.window.IsValid()) {
+    QueryResponse<D> response;
+    response.status = Status::InvalidArgument("write with an invalid MBR");
+    task.promise.set_value(std::move(response));
+    return future;
+  }
   RequestQueue<Task>& queue = is_write ? *write_queue_ : queue_;
   if (!queue.Push(std::move(task))) {
     // Queue closed; Push left `task` intact, so answer inline.

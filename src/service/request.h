@@ -25,7 +25,7 @@ enum class QueryKind {
   kKnn,             // k nearest neighbors (SIGMOD'95 branch-and-bound)
   kConstrainedKnn,  // k nearest within a region
   kRange,           // all entries intersecting a window
-  kTopK,            // k nearest via the incremental (distance-browsing) scan
+  kTopK,            // k nearest in best-first order (BestFirstKnn)
   kBatchKnn,        // many kNN queries answered in one worker pass
   kInsert,          // durably insert (window = MBR, object_id = id)
   kDelete,          // durably delete one exact (window, object_id) match

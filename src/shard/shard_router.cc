@@ -185,11 +185,11 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
 
   // One bound per Execute() call, on the stack: concurrent router calls
   // never share a bound, so no reset/epoch protocol is needed. Streaming
-  // applies to plain and approximate kNN — the constrained search clips by
-  // region and the incremental top-k scan does not take KnnOptions. For
-  // kApproxKnn the published bounds are exact (unrelaxed) local k-th
-  // distances, so streaming tightens pruning without widening the
-  // (1+epsilon) contract.
+  // applies to plain and approximate kNN. Constrained kNN and top-k run
+  // the same kNN engine but do not stream yet; top-k reaches it through
+  // BestFirstKnn, which takes no KnnOptions. For kApproxKnn the published
+  // bounds are exact (unrelaxed) local k-th distances, so streaming
+  // tightens pruning without widening the (1+epsilon) contract.
   SharedPruneBound bound;
   QueryRequest<D> scattered = request;
   if (options_.stream_bound && (request.kind == QueryKind::kKnn ||

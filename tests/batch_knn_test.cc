@@ -135,6 +135,28 @@ TEST(BatchKnnTest, MatchesSequentialOnFileBackend) {
   std::remove(path.c_str());
 }
 
+// A nonzero epsilon or max_visits runs the best-first order in the batch
+// as in KnnSearch, so the batch still equals the sequential calls.
+TEST(BatchKnnTest, ApproximateKnobsMatchSequential) {
+  auto data = UniformData(5000, /*seed=*/1337);
+  DiskManager disk(1024);
+  BufferPool pool(&disk, 512);
+  auto loaded = BulkLoad<2>(&pool, RTreeOptions{}, data, BulkLoadMethod::kStr);
+  ASSERT_TRUE(loaded.ok());
+  auto queries = UniformQueries(data, 50, /*seed=*/9);
+
+  QueryScratch<2> scratch;
+  for (uint32_t k : {1u, 16u}) {
+    KnnOptions options;
+    options.k = k;
+    options.epsilon = 0.25;
+    CheckBatchMatchesSequential(*loaded, queries, options, &scratch);
+    options.epsilon = 0.0;
+    options.max_visits = 8;
+    CheckBatchMatchesSequential(*loaded, queries, options, &scratch);
+  }
+}
+
 // One scratch must survive arbitrarily many sequential queries: 150 queries
 // and three interleaved k values through the same arena, each answer checked
 // against brute force.

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
-#include "core/incremental.h"
 #include "core/knn.h"
 #include "data/uniform.h"
 #include "data/workload.h"
+#include "tests/dual_backend.h"
+#include "tests/reference.h"
 #include "tests/test_util.h"
 
 namespace spatial {
@@ -89,6 +91,49 @@ TEST(BestFirstTest, KBeyondTreeSizeReturnsEverythingOrdered) {
   for (size_t i = 1; i < result->size(); ++i) {
     EXPECT_LE((*result)[i - 1].dist_sq, (*result)[i].dist_sq);
   }
+}
+
+// Both tiers run the same best-first engine: answers and every QueryStats
+// counter match byte for byte, distances match the brute-force reference,
+// and the frontier pops exactly the nodes it visits.
+template <int D>
+void CheckBestFirstOnBothTiers(uint64_t seed) {
+  Rng rng(seed);
+  DualBackend<D> index(
+      MakePointEntries(GenerateUniform<D>(3000, UnitBounds<D>(), &rng)));
+  const auto queries = GenerateQueries<D>(
+      index.data, 30, QueryDistribution::kUniform, 0.0, &rng);
+  QueryScratch<D> scratch;
+  const uint32_t whole = static_cast<uint32_t>(index.data.size()) + 5;
+  for (uint32_t k : {1u, 10u, 100u, whole}) {
+    for (const Point<D>& q : queries) {
+      QueryStats paged_stats, resident_stats;
+      auto paged = BestFirstKnn<D>(*index.tree, q, k, &paged_stats, &scratch);
+      auto resident = BestFirstKnn<D>(*index.resident, q, k, &resident_stats);
+      ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+      ASSERT_TRUE(resident.ok()) << resident.status().ToString();
+      ExpectNeighborsByteIdentical(*resident, *paged);
+      EXPECT_EQ(0, std::memcmp(&paged_stats, &resident_stats,
+                               sizeof(QueryStats)));
+      const std::vector<Neighbor> want = RefKnn<D>(index.data, q, k);
+      ASSERT_EQ(paged->size(), want.size()) << "k=" << k;
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ((*paged)[i].dist_sq, want[i].dist_sq)
+            << "k=" << k << " rank " << i;
+      }
+      EXPECT_GT(paged_stats.nodes_visited, 0u);
+      EXPECT_EQ(paged_stats.heap_pops, paged_stats.nodes_visited);
+      EXPECT_GE(paged_stats.heap_pushes, paged_stats.heap_pops);
+    }
+  }
+}
+
+TEST(BestFirstTest, TiersAgreeAndMatchReference2D) {
+  CheckBestFirstOnBothTiers<2>(65);
+}
+
+TEST(BestFirstTest, TiersAgreeAndMatchReference3D) {
+  CheckBestFirstOnBothTiers<3>(66);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "data/dataset.h"
 #include "data/uniform.h"
 #include "geom/metrics.h"
+#include "tests/dual_backend.h"
 #include "tests/test_util.h"
 
 namespace spatial {
@@ -160,6 +162,40 @@ TEST(GroupKnnTest, PrunesWithLargeTree) {
   ASSERT_EQ(result->size(), 1u);
   // Far fewer nodes than the ~900 of the tree.
   EXPECT_LT(stats.nodes_visited, 120u);
+}
+
+TEST(GroupKnnTest, TiersGiveIdenticalAnswersAndStats) {
+  Rng rng(64);
+  DualBackend<2> index(
+      MakePointEntries(GenerateUniform<2>(3000, UnitBounds<2>(), &rng)));
+  for (AggregateFn aggregate : {AggregateFn::kSum, AggregateFn::kMax}) {
+    for (int trial = 0; trial < 10; ++trial) {
+      std::vector<Point2> group(1 + rng.NextBounded(5));
+      for (auto& q : group) q = {{rng.Uniform(0, 1), rng.Uniform(0, 1)}};
+      for (uint32_t k : {1u, 8u}) {
+        QueryStats paged_stats, resident_stats;
+        auto paged = GroupKnnSearch<2>(*index.tree, group, k, aggregate,
+                                       &paged_stats);
+        auto resident = GroupKnnSearch<2>(*index.resident, group, k,
+                                          aggregate, &resident_stats);
+        ASSERT_TRUE(paged.ok());
+        ASSERT_TRUE(resident.ok());
+        ASSERT_EQ(paged->size(), resident->size());
+        if (!paged->empty()) {
+          EXPECT_EQ(0, std::memcmp(paged->data(), resident->data(),
+                                   paged->size() * sizeof(GroupNeighbor)));
+        }
+        EXPECT_EQ(0, std::memcmp(&paged_stats, &resident_stats,
+                                 sizeof(QueryStats)));
+        // The batch kernel reproduces the scalar aggregate bit for bit.
+        const auto want = BruteGroupKnn(index.data, group, k, aggregate);
+        ASSERT_EQ(paged->size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ((*paged)[i].aggregate_dist, want[i].aggregate_dist);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

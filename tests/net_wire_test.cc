@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -112,6 +113,40 @@ TEST(WireTest, RejectsBadCandidatesFlag) {
                                bad.size())
                   .status()
                   .IsCorruption());
+}
+
+Status DecodeStatus(const QueryRequest<2>& in) {
+  std::string buf;
+  EncodeRequest<2>(in, &buf);
+  return DecodeRequest<2>(reinterpret_cast<const uint8_t*>(buf.data()),
+                          buf.size())
+      .status();
+}
+
+TEST(WireTest, RejectsNonFiniteQueryValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(
+      DecodeStatus(QueryRequest<2>::Knn({{nan, 0.5}}, 3)).IsInvalidArgument());
+  EXPECT_TRUE(
+      DecodeStatus(QueryRequest<2>::Knn({{inf, 0.5}}, 3)).IsInvalidArgument());
+  EXPECT_TRUE(DecodeStatus(QueryRequest<2>::BatchKnn(
+                               {{{0.1, 0.1}}, {{0.5, nan}}}, 2))
+                  .IsInvalidArgument());
+  Rect<2> nan_window = Rect<2>::FromCorners({{0.1, 0.1}}, {{0.5, 0.5}});
+  nan_window.hi[1] = nan;
+  EXPECT_TRUE(
+      DecodeStatus(QueryRequest<2>::Range(nan_window)).IsInvalidArgument());
+
+  // Infinite window bounds stay legal: Rect::Empty() is made of them, and
+  // an unbounded range is a plain request.
+  Rect<2> everything;
+  everything.lo = {{-inf, -inf}};
+  everything.hi = {{inf, inf}};
+  QueryRequest<2> out = RoundTripRequest(QueryRequest<2>::Range(everything));
+  EXPECT_EQ(out.window.lo, everything.lo);
+  EXPECT_EQ(out.window.hi, everything.hi);
+  EXPECT_TRUE(DecodeStatus(QueryRequest<2>::Knn({{0.5, 0.5}}, 3)).ok());
 }
 
 TEST(WireTest, TraceContextAndDeadlineRoundTrip) {
@@ -479,6 +514,25 @@ TEST(WireTest, OversizedFrameLengthRejected) {
   std::string got;
   EXPECT_TRUE(RecvFrame(fds[1], &got).IsCorruption());
   ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST(WireTest, DeclaredFrameLengthIsNotReservedUpFront) {
+  int fds[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds));
+  // A header declaring the maximum frame, then 100 payload bytes, then
+  // the peer goes away: the buffer must track what arrived, not what was
+  // promised.
+  const uint32_t len = kMaxFrameBytes;
+  uint8_t header[4];
+  for (int i = 0; i < 4; ++i) header[i] = static_cast<uint8_t>(len >> (8 * i));
+  ASSERT_EQ(4, ::write(fds[0], header, 4));
+  const std::string body(100, 'x');
+  ASSERT_EQ(100, ::write(fds[0], body.data(), body.size()));
+  ::close(fds[0]);
+  std::string got;
+  EXPECT_TRUE(RecvFrame(fds[1], &got).IsCorruption());
+  EXPECT_LT(got.capacity(), size_t{1} << 20);
   ::close(fds[1]);
 }
 

@@ -332,6 +332,36 @@ TEST(QueryServiceTest, EveryEligibleKindFallsBackWhenTheArenaIsStale) {
   RemoveServingDb(path);
 }
 
+TEST(QueryServiceTest, InvalidWriteMbrFailsAloneInServingMode) {
+  // kDelete carries its MBR in `window`, whose default is Rect::Empty();
+  // such a write is answered at Submit and never joins a group commit.
+  const std::string path = TempPath("service_bad_write.sdb");
+  RemoveServingDb(path);
+  auto service = QueryService<2>::OpenServing(path, ServingOptions{}, {});
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto bad_delete =
+      (*service)->Submit(QueryRequest<2>::Delete(Rect<2>::Empty(), 7));
+  auto bad_insert = (*service)->Submit(
+      QueryRequest<2>::Insert(Rect<2>::FromPoint({{nan, 0.5}}), 8));
+  auto good = (*service)->Submit(
+      QueryRequest<2>::Insert(Rect<2>::FromPoint({{0.5, 0.5}}), 9));
+  QueryResponse<2> del = bad_delete.get();
+  EXPECT_TRUE(del.status.IsInvalidArgument()) << del.status.ToString();
+  QueryResponse<2> ins = bad_insert.get();
+  EXPECT_TRUE(ins.status.IsInvalidArgument()) << ins.status.ToString();
+  QueryResponse<2> acked = good.get();
+  ASSERT_TRUE(acked.ok()) << acked.status.ToString();
+  EXPECT_EQ(acked.affected, 1u);
+  QueryResponse<2> knn =
+      (*service)->Execute(QueryRequest<2>::Knn({{0.5, 0.5}}, 5));
+  ASSERT_TRUE(knn.ok());
+  ASSERT_EQ(knn.neighbors.size(), 1u);
+  EXPECT_EQ(knn.neighbors[0].id, 9u);
+  (*service)->Shutdown();
+  RemoveServingDb(path);
+}
+
 TEST(QueryServiceTest, SubmitAfterShutdownResolvesWithError) {
   const auto data = MakeData(100);
   auto db = MakeServableDb(data);

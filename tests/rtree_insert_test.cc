@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -65,6 +66,28 @@ TEST(RTreeInsertTest, RejectsInvalidRect) {
   bad.hi = {{1.0, 1.0}};
   EXPECT_TRUE(index.tree->Insert(bad, 1).IsInvalidArgument());
   EXPECT_EQ(index.tree->size(), 0u);
+}
+
+TEST(RTreeInsertTest, RejectsNanRectAndLeavesTreeUnchanged) {
+  // lo > hi is false for NaN, so only a per-dimension lo <= hi test keeps
+  // a NaN box out of the index.
+  TestIndex index(kPageSize, 64, RTreeOptions{});
+  Rng rng(7);
+  const auto data =
+      MakePointEntries(GenerateUniform<2>(2000, UnitBounds<2>(), &rng));
+  for (const auto& e : data) ASSERT_TRUE(index.tree->Insert(e.mbr, e.id).ok());
+  const PageId root = index.tree->root_page();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Rect2 bad = Rect2::FromPoint({{nan, 0.5}});
+  EXPECT_TRUE(index.tree->Insert(bad, 999999).IsInvalidArgument());
+  EXPECT_TRUE(index.tree->Delete(bad, data[0].id).status().IsInvalidArgument());
+  EXPECT_EQ(index.tree->size(), data.size());
+  EXPECT_EQ(index.tree->root_page(), root);
+  std::vector<Entry<2>> found;
+  ASSERT_TRUE(index.tree->Search(Rect2{{{0, 0}}, {{1, 1}}}, &found).ok());
+  EXPECT_EQ(found.size(), data.size());
+  auto report = ValidateTree<2>(*index.tree, /*check_min_fill=*/true);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
 }
 
 TEST(RTreeInsertTest, SingleInsertIsFindable) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -129,6 +130,43 @@ TEST(ServingDbTest, DeleteReportsWhetherItApplied) {
                   .IsInvalidArgument());
   EXPECT_EQ((*sdb)->last_lsn(), 4u);
 
+  ASSERT_TRUE((*sdb)->Close().ok());
+  CleanupDb(path);
+}
+
+TEST(ServingDbTest, InvalidDeleteMbrIsRejectedBeforeTheLog) {
+  // A delete the tree would reject must not reach the WAL: after the
+  // commit its failure would kill the db, and replay would fail every
+  // reopen on it.
+  const std::string path = TempPath("serving_bad_delete.sdb");
+  CleanupDb(path);
+  {
+    auto sdb = ServingDb<2>::Open(path, ServingOptions{});
+    ASSERT_TRUE(sdb.ok());
+    ASSERT_TRUE(
+        (*sdb)->ApplyBatch({WriteOp2::Insert(UnitBox(0.2, 0.2), 1)}, nullptr)
+            .ok());
+    EXPECT_TRUE((*sdb)
+                    ->ApplyBatch({WriteOp2::Delete(Rect<2>::Empty(), 7)},
+                                 nullptr)
+                    .IsInvalidArgument());
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_TRUE(
+        (*sdb)
+            ->ApplyBatch({WriteOp2::Delete(Rect<2>::FromPoint({{nan, 0.5}}),
+                                           1)},
+                         nullptr)
+            .IsInvalidArgument());
+    EXPECT_FALSE((*sdb)->dead());
+    EXPECT_EQ((*sdb)->last_lsn(), 1u);
+    ASSERT_TRUE(
+        (*sdb)->ApplyBatch({WriteOp2::Insert(UnitBox(0.4, 0.4), 2)}, nullptr)
+            .ok());
+    (*sdb)->Abandon();  // crash: the reopen replays the log
+  }
+  auto sdb = ServingDb<2>::Open(path, ServingOptions{});
+  ASSERT_TRUE(sdb.ok()) << sdb.status().ToString();
+  EXPECT_EQ(AllIds((*sdb)->writer_tree()), (std::vector<uint64_t>{1, 2}));
   ASSERT_TRUE((*sdb)->Close().ok());
   CleanupDb(path);
 }

@@ -246,6 +246,38 @@ TEST(ZeroAllocTest, ApproxAndBoundedKnnSteadyStateIsAllocationFree) {
       << delta.bytes << " bytes allocated in steady-state approx kNN";
 }
 
+TEST(ZeroAllocTest, ResidentApproxAndBoundedKnnSteadyStateIsAllocationFree) {
+  Fixture f;
+  auto resident =
+      ResidentTree<2>::Compile(&f.pool, f.tree->root_page(), f.tree->size(),
+                               {});
+  ASSERT_TRUE(resident.ok()) << resident.status().ToString();
+  QueryScratch<2> scratch;
+  std::vector<Neighbor> out;
+  QueryStats stats;
+  KnnOptions options;
+  options.k = 10;
+  options.epsilon = 0.5;
+  options.max_visits = 64;
+  options.max_distance = 0.25;
+
+  for (const Point2& q : f.queries) {
+    ASSERT_TRUE(
+        KnnSearchInto<2>(*resident, q, options, &scratch, &out, &stats).ok());
+  }
+
+  const AllocCounts before = ThreadAllocCounts();
+  bool all_ok = true;
+  for (const Point2& q : f.queries) {
+    all_ok &=
+        KnnSearchInto<2>(*resident, q, options, &scratch, &out, &stats).ok();
+  }
+  const AllocCounts delta = ThreadAllocCounts() - before;
+  ASSERT_TRUE(all_ok);
+  EXPECT_EQ(delta.allocations, 0u)
+      << delta.bytes << " bytes allocated in steady-state resident approx kNN";
+}
+
 // The observability layer must not repeal the zero-alloc contract: this
 // replays the QueryService worker loop's per-query instrumentation —
 // histogram records, the sampling draw, per-kind stat mirror, trace

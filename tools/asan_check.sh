@@ -8,7 +8,10 @@
 # because it stresses the same staging arenas the kernels write into, and
 # the metrics/knn/join tests cover the traversals that drive them.
 # constrained_test drives the window filter, which indexes the SoA planes,
-# and net_wire_test the table-driven QueryStats codec.
+# and net_wire_test the table-driven QueryStats codec. best_first_test and
+# batch_knn_test drive the kNN engine's best-first order, whose frontier
+# indexes the ABL arena by frame offsets; incremental_test and
+# group_knn_test drive the GeoBrowse queue and its box slots.
 #
 # Usage: tools/asan_check.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -19,7 +22,8 @@ BUILD_DIR="${1:-build-asan}"
 TESTS=(metrics_test metrics_reference_test simd_kernel_test knn_test
        knn_property_test spatial_join_test zero_alloc_test
        resident_tree_test advanced_query_test constrained_test
-       net_wire_test)
+       net_wire_test best_first_test batch_knn_test incremental_test
+       group_knn_test)
 
 cmake -B "$BUILD_DIR" -S . -DSPATIAL_SANITIZE=address+undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
