@@ -48,11 +48,14 @@ struct Rect {
     return false;
   }
 
-  // True iff lo <= hi in every dimension (degenerate boxes are valid). A
-  // NaN bound fails the test, so it is not valid either.
+  // True iff every bound is finite and lo <= hi in every dimension
+  // (degenerate boxes are valid). A NaN or infinite bound fails the test.
+  // This is the rule for stored MBRs; read windows are never tested with
+  // it, so Empty() and infinite windows stay legal queries.
   bool IsValid() const {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
     for (int i = 0; i < D; ++i) {
-      if (!(lo[i] <= hi[i])) return false;
+      if (!(-kInf < lo[i] && lo[i] <= hi[i] && hi[i] < kInf)) return false;
     }
     return true;
   }

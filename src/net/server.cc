@@ -6,9 +6,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <system_error>
 #include <utility>
 
 namespace spatial {
@@ -152,15 +154,35 @@ void RpcServer<D>::AcceptLoop() {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     std::lock_guard<std::mutex> lock(mu_);
+    // A handler announces its exit as its last step under mu_, so joining
+    // it here waits only for its return, and no more than max_connections
+    // handler threads are ever unjoined.
+    for (const std::thread::id id : exited_) {
+      const auto it = std::find_if(
+          threads_.begin(), threads_.end(),
+          [id](const std::thread& t) { return t.get_id() == id; });
+      if (it == threads_.end()) continue;
+      it->join();
+      threads_.erase(it);
+    }
+    exited_.clear();
     if (stopped_.load(std::memory_order_relaxed) ||
         conn_fds_.size() >= options_.max_connections) {
       CloseFd(fd);
       continue;
     }
+    try {
+      threads_.emplace_back([this, fd] { HandleConnection(fd); });
+    } catch (const std::system_error&) {
+      // No thread for this connection: drop it and keep serving the
+      // others.
+      CloseFd(fd);
+      wire_errors_->Inc();
+      continue;
+    }
     conn_fds_.push_back(fd);
     connections_total_->Inc();
     connections_->Set(static_cast<double>(conn_fds_.size()));
-    threads_.emplace_back([this, fd] { HandleConnection(fd); });
   }
 }
 
@@ -271,6 +293,7 @@ void RpcServer<D>::HandleConnection(int fd) {
     }
   }
   connections_->Set(static_cast<double>(conn_fds_.size()));
+  exited_.push_back(std::this_thread::get_id());
 }
 
 template class RpcServer<2>;

@@ -20,7 +20,11 @@ namespace spatial {
 // decodes wire frames (net/wire.h), runs them through a ShardRouter, and
 // streams the answers back. One server thread blocks in accept(); each
 // connection gets its own handler thread, whose scatter-gather into the
-// shard worker pools is where the real concurrency lives.
+// shard worker pools is where the real concurrency lives. The accept
+// thread joins the handlers that have exited before it starts the next,
+// so no more than max_connections handler threads are ever unjoined; a
+// connection whose handler thread cannot be created is closed and counted
+// in spatial_rpc_wire_errors_total.
 //
 // Admission control: one atomic budget of in-flight requests across all
 // connections (`max_pending`). A request arriving at the budget is shed
@@ -81,8 +85,9 @@ class RpcServer {
   // (max_requests does exactly that). Does not join.
   void Stop();
 
-  // Joins the accept thread and every connection thread. Call from the
-  // owning thread; returns once the server is fully quiesced.
+  // Joins the accept thread and every connection thread not yet joined.
+  // Call from the owning thread; returns once the server is fully
+  // quiesced.
   void WaitUntilStopped();
 
   uint64_t requests_served() const {
@@ -104,9 +109,10 @@ class RpcServer {
   std::atomic<uint32_t> in_flight_{0};
   std::atomic<uint64_t> served_{0};
   std::thread accept_thread_;
-  std::mutex mu_;                     // guards threads_ and conn_fds_
-  std::vector<std::thread> threads_;  // connection handlers
-  std::vector<int> conn_fds_;         // live connection sockets
+  std::mutex mu_;  // guards threads_, exited_ and conn_fds_
+  std::vector<std::thread> threads_;     // handlers not yet joined
+  std::vector<std::thread::id> exited_;  // handlers that have returned
+  std::vector<int> conn_fds_;            // live connection sockets
   bool joined_ = false;
   // Instruments (owned by the router's registry).
   obs::Counter* requests_;

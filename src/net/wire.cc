@@ -291,8 +291,10 @@ Result<QueryRequest<D>> DecodeRequest(const uint8_t* data, size_t len) {
   if (!r.AtEnd()) return Truncated();
   // Well-formed bytes, bad values: a non-finite query point has no
   // meaningful neighbors, and a NaN bound makes every MBR test false.
-  // Infinite window bounds stay legal — Rect::Empty(), the window of every
-  // kind without one, is made of them.
+  // Infinite window bounds stay legal here: a read window may be infinite,
+  // and Rect::Empty(), the window of every kind without one, is made of
+  // them. A write's window is its MBR, which must be finite; the service
+  // rejects a non-finite one (Rect::IsValid) before it reaches the WAL.
   bool finite = IsFinite(request.query);
   for (const Point<D>& p : request.batch_queries) {
     finite = finite && IsFinite(p);

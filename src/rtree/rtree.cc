@@ -61,15 +61,13 @@ Result<RTree<D>> RTree<D>::Open(BufferPool* pool, const RTreeOptions& options,
                                 PageId root_page) {
   SPATIAL_ASSIGN_OR_RETURN(RTree<D> tree,
                            Open(pool, options, root_page, /*known_size=*/0));
-  // Recompute the entry count with a full-window search.
-  std::vector<Entry<D>> all;
+  // Recompute the entry count with a full-window count.
   Rect<D> everything;
   for (int i = 0; i < D; ++i) {
     everything.lo[i] = -std::numeric_limits<double>::infinity();
     everything.hi[i] = std::numeric_limits<double>::infinity();
   }
-  SPATIAL_RETURN_IF_ERROR(tree.Search(everything, &all));
-  tree.size_ = all.size();
+  SPATIAL_ASSIGN_OR_RETURN(tree.size_, tree.CountIntersecting(everything));
   return tree;
 }
 
@@ -451,111 +449,66 @@ Status RTree<D>::ShrinkRootIfNeeded() {
 }
 
 template <int D>
-Status RTree<D>::Search(const Rect<D>& window,
-                        std::vector<Entry<D>>* out) const {
-  SPATIAL_CHECK(out != nullptr);
+template <typename Visit>
+Status RTree<D>::Walk(const Rect<D>& window, LeafTest test,
+                      Visit&& visit) const {
   if (window.IsEmpty()) return Status::OK();
-  return SearchRecursive(root_page_, window, out);
+  std::vector<PageId> pending{root_page_};
+  while (!pending.empty()) {
+    const PageId node_id = pending.back();
+    pending.pop_back();
+    SPATIAL_ASSIGN_OR_RETURN(PageHandle handle, pool_->Fetch(node_id));
+    NodeView<D> view(handle.data(), pool_->page_size());
+    if (!view.has_valid_magic()) {
+      return Status::Corruption("window walk: node page has bad magic");
+    }
+    if (view.is_leaf()) {
+      for (uint32_t i = 0; i < view.count(); ++i) {
+        const Entry<D> e = view.entry(i);
+        if (test == LeafTest::kContained ? window.Contains(e.mbr)
+                                         : e.mbr.Intersects(window)) {
+          visit(e);
+        }
+      }
+      continue;
+    }
+    // Interior pruning is by intersection for every test: a child subtree
+    // may hold contained objects even if the child MBR pokes out of the
+    // window. Children go on the stack last first, so they pop in entry
+    // order, as a recursive descent would visit them.
+    for (uint32_t i = view.count(); i-- > 0;) {
+      const Entry<D> e = view.entry(i);
+      if (e.mbr.Intersects(window)) {
+        pending.push_back(static_cast<PageId>(e.id));
+      }
+    }
+  }
+  return Status::OK();
 }
 
 template <int D>
-Status RTree<D>::SearchRecursive(PageId node_id, const Rect<D>& window,
-                                 std::vector<Entry<D>>* out) const {
-  SPATIAL_ASSIGN_OR_RETURN(PageHandle handle, pool_->Fetch(node_id));
-  NodeView<D> view(handle.data(), pool_->page_size());
-  if (!view.has_valid_magic()) {
-    return Status::Corruption("search: node page has bad magic");
-  }
-  const bool is_leaf = view.is_leaf();
-  std::vector<Entry<D>> matching;
-  for (uint32_t i = 0; i < view.count(); ++i) {
-    const Entry<D> e = view.entry(i);
-    if (e.mbr.Intersects(window)) matching.push_back(e);
-  }
-  // Release before descending: keeps the query pin-depth at one frame.
-  handle.Release();
-  if (is_leaf) {
-    out->insert(out->end(), matching.begin(), matching.end());
-    return Status::OK();
-  }
-  for (const Entry<D>& e : matching) {
-    SPATIAL_RETURN_IF_ERROR(
-        SearchRecursive(static_cast<PageId>(e.id), window, out));
-  }
-  return Status::OK();
+Status RTree<D>::Search(const Rect<D>& window,
+                        std::vector<Entry<D>>* out) const {
+  SPATIAL_CHECK(out != nullptr);
+  return Walk(window, LeafTest::kIntersects,
+              [out](const Entry<D>& e) { out->push_back(e); });
 }
 
 template <int D>
 Status RTree<D>::SearchContained(const Rect<D>& window,
                                  std::vector<Entry<D>>* out) const {
   SPATIAL_CHECK(out != nullptr);
-  if (window.IsEmpty()) return Status::OK();
-  return SearchContainedRecursive(root_page_, window, out);
-}
-
-template <int D>
-Status RTree<D>::SearchContainedRecursive(PageId node_id,
-                                          const Rect<D>& window,
-                                          std::vector<Entry<D>>* out) const {
-  SPATIAL_ASSIGN_OR_RETURN(PageHandle handle, pool_->Fetch(node_id));
-  NodeView<D> view(handle.data(), pool_->page_size());
-  if (!view.has_valid_magic()) {
-    return Status::Corruption("search: node page has bad magic");
-  }
-  const bool is_leaf = view.is_leaf();
-  std::vector<Entry<D>> matching;
-  for (uint32_t i = 0; i < view.count(); ++i) {
-    const Entry<D> e = view.entry(i);
-    // Internal pruning still uses intersection: a child subtree may hold
-    // contained objects even if the child MBR pokes out of the window.
-    if (is_leaf ? window.Contains(e.mbr) : e.mbr.Intersects(window)) {
-      matching.push_back(e);
-    }
-  }
-  handle.Release();
-  if (is_leaf) {
-    out->insert(out->end(), matching.begin(), matching.end());
-    return Status::OK();
-  }
-  for (const Entry<D>& e : matching) {
-    SPATIAL_RETURN_IF_ERROR(
-        SearchContainedRecursive(static_cast<PageId>(e.id), window, out));
-  }
-  return Status::OK();
+  return Walk(window, LeafTest::kContained,
+              [out](const Entry<D>& e) { out->push_back(e); });
 }
 
 template <int D>
 Result<uint64_t> RTree<D>::CountIntersecting(const Rect<D>& window) const {
-  if (window.IsEmpty()) return static_cast<uint64_t>(0);
-  return CountRecursive(root_page_, window);
-}
-
-template <int D>
-Result<uint64_t> RTree<D>::CountRecursive(PageId node_id,
-                                          const Rect<D>& window) const {
-  SPATIAL_ASSIGN_OR_RETURN(PageHandle handle, pool_->Fetch(node_id));
-  NodeView<D> view(handle.data(), pool_->page_size());
-  if (!view.has_valid_magic()) {
-    return Status::Corruption("count: node page has bad magic");
-  }
-  const bool is_leaf = view.is_leaf();
   uint64_t count = 0;
-  std::vector<PageId> children;
-  for (uint32_t i = 0; i < view.count(); ++i) {
-    const Entry<D> e = view.entry(i);
-    if (!e.mbr.Intersects(window)) continue;
-    if (is_leaf) {
-      ++count;
-    } else {
-      children.push_back(static_cast<PageId>(e.id));
-    }
-  }
-  handle.Release();
-  for (const PageId child : children) {
-    SPATIAL_ASSIGN_OR_RETURN(const uint64_t sub,
-                             CountRecursive(child, window));
-    count += sub;
-  }
+  SPATIAL_RETURN_IF_ERROR(
+      Walk(window, LeafTest::kIntersects, [&count](const Entry<D>&) {
+        ++count;
+      }));
   return count;
 }
 

@@ -179,12 +179,17 @@ class RTree {
                                         std::vector<PendingEntry>* orphans);
   Status ShrinkRootIfNeeded();
 
-  Status SearchRecursive(PageId node_id, const Rect<D>& window,
-                         std::vector<Entry<D>>* out) const;
-  Status SearchContainedRecursive(PageId node_id, const Rect<D>& window,
-                                  std::vector<Entry<D>>* out) const;
-  Result<uint64_t> CountRecursive(PageId node_id,
-                                  const Rect<D>& window) const;
+  // Which leaf entries a window walk reports.
+  enum class LeafTest { kIntersects, kContained };
+
+  // The one window traversal, behind Search, SearchContained and
+  // CountIntersecting: depth-first in entry order (the order results are
+  // reported in), pruning interior entries by intersection, it calls
+  // `visit` on every leaf entry that passes `test`. Each page is released
+  // before the next is fetched, so the walk pins one frame, and pending
+  // children share one stack, so it allocates nothing per visited node.
+  template <typename Visit>
+  Status Walk(const Rect<D>& window, LeafTest test, Visit&& visit) const;
 
   BufferPool* pool_;
   RTreeOptions options_;

@@ -65,7 +65,7 @@ void ShardRouter<D>::RegisterMetrics() {
       "kNN shard visits skipped by the extent test");
   merge_ns_ = metrics_.AddHistogram(
       "spatial_router_merge_ns",
-      "Scatter-gather wall time per request (submit to merged answer)");
+      "Scatter-gather wall time per round trip (submit to merged answer)");
 
   // Requests by kind: one spatial_router_requests_total family, one sample
   // per kind labelled kind="..." (label values keep the hyphenated kind
@@ -134,27 +134,10 @@ void ShardRouter<D>::RegisterMetrics() {
 template <int D>
 QueryResponse<D> ShardRouter<D>::Execute(const QueryRequest<D>& request) {
   requests_by_kind_[static_cast<int>(request.kind)].FetchAdd(1);
-  QueryResponse<D> response;
-  switch (request.kind) {
-    case QueryKind::kKnn:
-    case QueryKind::kConstrainedKnn:
-    case QueryKind::kRange:
-    case QueryKind::kTopK:
-    case QueryKind::kBatchKnn:
-    case QueryKind::kNnSkyline:
-    case QueryKind::kApproxKnn:
-      response = ScatterQuery(request);
-      break;
-    case QueryKind::kReverseKnn:
-      response = RouteReverseKnn(request);
-      break;
-    case QueryKind::kInsert:
-      response = RouteInsert(request);
-      break;
-    case QueryKind::kDelete:
-    case QueryKind::kCheckpoint:
-      response = Broadcast(request);
-      break;
+  QueryResponse<D> response = ScatterQuery(request);
+  if (response.ok() && request.kind == QueryKind::kReverseKnn &&
+      !request.rknn_candidates_only) {
+    VerifyReverseKnn(request, &response);
   }
   if (!response.ok()) failed_->Inc();
   return response;
@@ -183,7 +166,7 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
               : 0;
   const uint64_t root_span_id = sampled ? (obs::NextRandom(&tls_rng) | 1) : 0;
 
-  // One bound per Execute() call, on the stack: concurrent router calls
+  // One bound per round trip, on the stack: concurrent router calls
   // never share a bound, so no reset/epoch protocol is needed. Streaming
   // applies to plain and approximate kNN. Constrained kNN and top-k run
   // the same kNN engine but do not stream yet; top-k reaches it through
@@ -195,6 +178,14 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
   if (options_.stream_bound && (request.kind == QueryKind::kKnn ||
                                 request.kind == QueryKind::kApproxKnn)) {
     scattered.knn.shared_bound = &bound;
+  }
+  // A reverse kNN's round trip is its candidate round: every shard
+  // generates (but does not verify) its local sector candidates. A local
+  // filter only ever drops objects that its own shard proves cannot be
+  // reverse k-NN — more objects globally can only strengthen that proof —
+  // so the union still contains every answer.
+  if (request.kind == QueryKind::kReverseKnn) {
+    scattered.rknn_candidates_only = true;
   }
   if (sampled) {
     // Every scattered copy carries the sampled context, so each shard
@@ -268,33 +259,64 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
                   });
       }
     }
+  } else if (request.kind == QueryKind::kInsert) {
+    // The nearest extent by MINDIST, ties (e.g. the MBR overlaps several
+    // extents at distance 0) to the lowest index; shard 0 when every
+    // extent is empty. The extent grows once the shard has acked, so a
+    // rejected insert leaves it alone, and before the router returns, so
+    // every kNN issued after the ack prunes against it.
+    const std::vector<Rect<D>> extents = shards_->extents();
+    uint32_t target = 0;
+    double best = std::numeric_limits<double>::infinity();
+    for (uint32_t s = 0; s < n; ++s) {
+      if (extents[s].IsEmpty()) continue;
+      const double d = MinDistSq<D>(extents[s], request.window);
+      if (d < best) {
+        best = d;
+        target = s;
+      }
+    }
+    run_round(&target, 1, 0);
+    if (answers[0].response.ok()) shards_->GrowExtent(target, request.window);
   } else {
     run_round(all_shards_.data(), n, 0);
   }
   const uint64_t scatter_ns = ElapsedNs(start);
 
+  // The fold: the first error in shard order, summed stats and `affected`,
+  // the largest `lsn`. Shards within a round run concurrently, so each
+  // round costs its slowest shard; the kKnn second round follows the first.
   QueryResponse<D> merged;
-  // Shards within a round run concurrently, so each round costs its
-  // slowest shard; the kKnn second round starts after the first.
   uint64_t round_ns[2] = {0, 0};
   for (const ShardAnswer& a : answers) {
     if (!a.response.status.ok() && merged.status.ok()) {
       merged.status = a.response.status;
     }
     merged.stats.Add(a.response.stats);
+    merged.affected += a.response.affected;
+    merged.lsn = std::max(merged.lsn, a.response.lsn);
     round_ns[a.round] = std::max(round_ns[a.round], a.response.latency_ns);
   }
   merged.latency_ns = round_ns[0] + round_ns[1];
-  if (!merged.status.ok()) {
-    const uint64_t total_ns = ElapsedNs(start);
-    merge_ns_->Record(total_ns);
-    if (sampled || total_ns >= trace_log_.slow_threshold_ns()) {
-      RecordScatterTrace(request, sampled, trace_id, root_span_id, answers,
-                         scatter_ns, total_ns, merged.stats);
-    }
-    return merged;
-  }
+  if (merged.status.ok()) MergeAnswers(request, answers, &merged);
 
+  const uint64_t total_ns = ElapsedNs(start);
+  merge_ns_->Record(total_ns);
+  if (sampled || total_ns >= trace_log_.slow_threshold_ns()) {
+    RecordScatterTrace(request, sampled, trace_id, root_span_id, answers,
+                       scatter_ns, total_ns, merged.stats);
+  }
+  return merged;
+}
+
+// The merge step, by kind, over answers that all succeeded. The write
+// kinds have no case: the fold already summed `affected` and kept the
+// largest `lsn`.
+template <int D>
+void ShardRouter<D>::MergeAnswers(const QueryRequest<D>& request,
+                                  const std::vector<ShardAnswer>& answers,
+                                  QueryResponse<D>* out) {
+  QueryResponse<D>& merged = *out;
   switch (request.kind) {
     case QueryKind::kKnn:
     case QueryKind::kConstrainedKnn:
@@ -398,17 +420,79 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
       for (size_t idx : kept) merged.entries.push_back(pool[idx]);
       break;
     }
+    case QueryKind::kReverseKnn: {
+      // Re-run the sector selection globally. A shard's local filter may
+      // keep objects that closer same-sector objects in *other* shards
+      // eliminate, so the union is re-fed — in the ascending (dist, id)
+      // order the filter requires — through a fresh filter. Distances are
+      // recomputed with the scalar MINDIST, bit-identical to the kernel
+      // keys the shards browsed with. The survivors, with geometry, are
+      // the candidate round's answer. Shards answer kInvalidArgument
+      // unless D == 2, so no other instantiation gets here.
+      if constexpr (D == 2) {
+        struct Candidate {
+          double dist_sq;
+          Entry<2> entry;
+        };
+        std::vector<Candidate> pool;
+        for (const ShardAnswer& a : answers) {
+          for (const Entry<2>& e : a.response.entries) {
+            pool.push_back(Candidate{MinDistSq(request.query, e.mbr), e});
+          }
+        }
+        std::sort(pool.begin(), pool.end(),
+                  [](const Candidate& x, const Candidate& y) {
+                    if (x.dist_sq != y.dist_sq) return x.dist_sq < y.dist_sq;
+                    return x.entry.id < y.entry.id;
+                  });
+        ReverseKnnSectorFilter filter(request.query, request.knn.k);
+        for (const Candidate& c : pool) {
+          if (filter.Closed(c.dist_sq)) break;
+          if (filter.Offer(c.entry.mbr.Center(), c.dist_sq)) {
+            merged.entries.push_back(c.entry);
+          }
+        }
+        rknn_candidates_->Add(merged.entries.size());
+      }
+      break;
+    }
     default:
       break;
   }
+}
 
-  const uint64_t total_ns = ElapsedNs(start);
-  merge_ns_->Record(total_ns);
-  if (sampled || total_ns >= trace_log_.slow_threshold_ns()) {
-    RecordScatterTrace(request, sampled, trace_id, root_span_id, answers,
-                       scatter_ns, total_ns, merged.stats);
+// A reverse kNN's verification rounds: each candidate the candidate round
+// selected is checked with an exact cross-shard (k+1)-NN at its location —
+// the single-tree rule (core/reverse_knn.h), but the neighbor list now
+// spans every shard. Each check is a kKnn round trip of its own; they run
+// in sequence, so their latencies add onto the candidate round's.
+template <int D>
+void ShardRouter<D>::VerifyReverseKnn(const QueryRequest<D>& request,
+                                      QueryResponse<D>* response) {
+  std::vector<Entry<D>> candidates;
+  candidates.swap(response->entries);
+  for (const Entry<D>& c : candidates) {
+    const double dist_sq = MinDistSq<D>(request.query, c.mbr);
+    if (dist_sq == 0.0) {
+      // Coincides with the query: unconditionally a reverse k-NN.
+      response->neighbors.push_back(Neighbor{c.id, 0.0});
+      continue;
+    }
+    const QueryResponse<D> around =
+        ScatterQuery(QueryRequest<D>::Knn(c.mbr.Center(), request.knn.k + 1));
+    rknn_verify_rounds_->Inc();
+    if (!around.ok()) {
+      response->status = around.status;
+      return;
+    }
+    response->stats.Add(around.stats);
+    response->latency_ns += around.latency_ns;
+    if (ReverseKnnQualifies(around.neighbors, c.id, dist_sq, request.knn.k)) {
+      response->neighbors.push_back(Neighbor{c.id, dist_sq});
+    }
   }
-  return merged;
+  std::sort(response->neighbors.begin(), response->neighbors.end(),
+            NeighborLess);
 }
 
 // Assembles the root spans, one ShardSpan per visited shard, the
@@ -462,162 +546,6 @@ void ShardRouter<D>::RecordScatterTrace(
   }
   if (sampled) traces_assembled_->Inc();
   trace_log_.Record(rec);
-}
-
-template <int D>
-QueryResponse<D> ShardRouter<D>::RouteReverseKnn(
-    const QueryRequest<D>& request) {
-  const auto start = std::chrono::steady_clock::now();
-  const uint32_t n = shards_->num_shards();
-
-  // Phase 1: every shard generates (but does not verify) its local sector
-  // candidates. A local filter only ever drops objects that its own shard
-  // proves cannot be reverse k-NN — more objects globally can only
-  // strengthen that proof — so the union still contains every answer.
-  QueryRequest<D> scattered = request;
-  scattered.rknn_candidates_only = true;
-
-  std::vector<std::future<QueryResponse<D>>> futures;
-  futures.reserve(n);
-  for (uint32_t s = 0; s < n; ++s) {
-    futures.push_back(shards_->shard(s).Submit(scattered));
-  }
-  std::vector<QueryResponse<D>> answers;
-  answers.reserve(n);
-  for (auto& f : futures) answers.push_back(f.get());
-
-  QueryResponse<D> merged;
-  for (const auto& a : answers) {
-    if (!a.status.ok() && merged.status.ok()) merged.status = a.status;
-    merged.stats.Add(a.stats);
-    merged.latency_ns = std::max(merged.latency_ns, a.latency_ns);
-  }
-  if (!merged.status.ok()) {
-    merge_ns_->Record(ElapsedNs(start));
-    return merged;
-  }
-
-  if constexpr (D != 2) {
-    // Unreachable — every shard already answered kInvalidArgument above —
-    // but keeps this instantiation from touching the planar-only filter.
-    merged.status =
-        Status::InvalidArgument("reverse-knn supports 2-D services only");
-    merge_ns_->Record(ElapsedNs(start));
-    return merged;
-  } else {
-    // Phase 2: re-run the sector selection globally. A shard's local
-    // filter may keep objects that closer same-sector objects in *other*
-    // shards eliminate, so the union is re-fed — in the ascending
-    // (dist, id) order the filter requires — through a fresh filter.
-    // Distances are recomputed with the scalar MINDIST, bit-identical to
-    // the kernel keys the shards browsed with.
-    struct Candidate {
-      double dist_sq;
-      Entry<2> entry;
-    };
-    std::vector<Candidate> pool;
-    for (const auto& a : answers) {
-      for (const auto& e : a.entries) {
-        pool.push_back(Candidate{MinDistSq(request.query, e.mbr), e});
-      }
-    }
-    std::sort(pool.begin(), pool.end(),
-              [](const Candidate& x, const Candidate& y) {
-                if (x.dist_sq != y.dist_sq) return x.dist_sq < y.dist_sq;
-                return x.entry.id < y.entry.id;
-              });
-    ReverseKnnSectorFilter filter(request.query, request.knn.k);
-    std::vector<Candidate> selected;
-    for (const auto& c : pool) {
-      if (filter.Closed(c.dist_sq)) break;
-      if (filter.Offer(c.entry.mbr.Center(), c.dist_sq)) {
-        selected.push_back(c);
-      }
-    }
-    rknn_candidates_->Add(selected.size());
-
-    if (request.rknn_candidates_only) {
-      merged.entries.reserve(selected.size());
-      for (const auto& c : selected) merged.entries.push_back(c.entry);
-      merge_ns_->Record(ElapsedNs(start));
-      return merged;
-    }
-
-    // Phase 3: verify each survivor with an exact cross-shard (k+1)-NN at
-    // its location — the single-tree rule (core/reverse_knn.h), but the
-    // neighbor list now spans every shard. Rounds run sequentially, so
-    // their latencies add onto the candidate phase's.
-    for (const auto& c : selected) {
-      if (c.dist_sq == 0.0) {
-        // Coincides with the query: unconditionally a reverse k-NN.
-        merged.neighbors.push_back(Neighbor{c.entry.id, 0.0});
-        continue;
-      }
-      const QueryRequest<D> verify =
-          QueryRequest<D>::Knn(c.entry.mbr.Center(), request.knn.k + 1);
-      QueryResponse<D> around = ScatterQuery(verify);
-      rknn_verify_rounds_->Inc();
-      if (!around.status.ok()) {
-        merged.status = around.status;
-        merge_ns_->Record(ElapsedNs(start));
-        return merged;
-      }
-      merged.stats.Add(around.stats);
-      merged.latency_ns += around.latency_ns;
-      if (ReverseKnnQualifies(around.neighbors, c.entry.id, c.dist_sq,
-                              request.knn.k)) {
-        merged.neighbors.push_back(Neighbor{c.entry.id, c.dist_sq});
-      }
-    }
-    std::sort(merged.neighbors.begin(), merged.neighbors.end(), NeighborLess);
-    merge_ns_->Record(ElapsedNs(start));
-    return merged;
-  }
-}
-
-template <int D>
-QueryResponse<D> ShardRouter<D>::RouteInsert(const QueryRequest<D>& request) {
-  const auto start = std::chrono::steady_clock::now();
-  // Nearest extent by MINDIST, ties (e.g. the MBR overlaps several extents
-  // at distance 0) to the lowest index; shard 0 when every extent is
-  // empty. The target's extent grows to cover the MBR before the insert is
-  // submitted, so every kNN issued after the ack prunes against it.
-  const std::vector<Rect<D>> extents = shards_->extents();
-  uint32_t target = 0;
-  double best = std::numeric_limits<double>::infinity();
-  for (uint32_t s = 0; s < shards_->num_shards(); ++s) {
-    if (extents[s].IsEmpty()) continue;
-    const double d = MinDistSq<D>(extents[s], request.window);
-    if (d < best) {
-      best = d;
-      target = s;
-    }
-  }
-  shards_->GrowExtent(target, request.window);
-  QueryResponse<D> response = shards_->shard(target).Execute(request);
-  merge_ns_->Record(ElapsedNs(start));
-  return response;
-}
-
-template <int D>
-QueryResponse<D> ShardRouter<D>::Broadcast(const QueryRequest<D>& request) {
-  const auto start = std::chrono::steady_clock::now();
-  const uint32_t n = shards_->num_shards();
-  std::vector<std::future<QueryResponse<D>>> futures;
-  futures.reserve(n);
-  for (uint32_t s = 0; s < n; ++s) {
-    futures.push_back(shards_->shard(s).Submit(request));
-  }
-  QueryResponse<D> merged;
-  for (auto& f : futures) {
-    QueryResponse<D> a = f.get();
-    if (!a.status.ok() && merged.status.ok()) merged.status = a.status;
-    merged.affected += a.affected;
-    merged.lsn = std::max(merged.lsn, a.lsn);
-    merged.latency_ns = std::max(merged.latency_ns, a.latency_ns);
-  }
-  merge_ns_->Record(ElapsedNs(start));
-  return merged;
 }
 
 template class ShardRouter<2>;

@@ -20,7 +20,12 @@ namespace spatial {
 // running the same request against one tree holding the whole dataset
 // (modulo distance ties at the k-th position — see docs/SHARDING.md).
 //
-// Routing:
+// Every request is one round trip through ScatterQuery, in five steps:
+// plan (the shards and their rounds), gather (submit, then wait for the
+// answers), fold (the first error in shard order, summed stats and
+// `affected`, the largest `lsn`, each round's slowest latency), merge (by
+// kind) and record (merge_ns and the trace log). Only a reverse kNN runs
+// more round trips than one. Per kind:
 //   * kKnn — the paper's ordered depth-first search applied at the root of
 //     the distributed tree, whose branches are the shards and whose branch
 //     MBRs are the shard extents (ShardSet::extents()). The non-empty
@@ -43,16 +48,16 @@ namespace spatial {
 //     dominance filter over the union (the global skyline is a subset of
 //     the union: any global dominator either eliminated its victim inside
 //     its own shard or survives into the union and eliminates it here).
-//   * kReverseKnn — two-phase (RouteReverseKnn): shards generate sector
-//     candidates only (rknn_candidates_only), the router re-runs the
-//     sector selection over the union, then verifies each survivor with
-//     an exact cross-shard (k+1)-NN — verification must consult the
-//     *global* dataset, which no single shard holds. The verification
-//     probes are kKnn requests and take the kKnn route above.
-//   * kInsert — route to the single shard whose extent is nearest the new
-//     MBR (MINDIST, ties to the lowest shard index), after growing that
-//     extent to cover the MBR.
-//   * kDelete / kCheckpoint — broadcast (a delete must reach whichever
+//   * kReverseKnn — scatter for sector candidates only
+//     (rknn_candidates_only), and merge by re-running the sector selection
+//     over the union. Unless the request itself is candidates-only, each
+//     survivor is then verified with an exact cross-shard (k+1)-NN, a kKnn
+//     round trip of its own — verification must consult the *global*
+//     dataset, which no single shard holds.
+//   * kInsert — run on the single shard whose extent is nearest the new
+//     MBR (MINDIST, ties to the lowest shard index). Once that shard acks,
+//     and before the router returns, its extent grows to cover the MBR.
+//   * kDelete / kCheckpoint — scatter (a delete must reach whichever
 //     shard holds the object; `affected` sums over shards).
 //
 // Bound streaming: for kKnn / kApproxKnn with Options::stream_bound, the
@@ -67,8 +72,8 @@ namespace spatial {
 // the pages saved.
 //
 // Distributed tracing (docs/OBSERVABILITY.md "Distributed traces"): the
-// router is the root of a trace. A scatter-family request is traced when
-// it arrives carrying a sampled wire-v3 trace context (trace_id +
+// router is the root of a trace. A round trip is traced when its request
+// arrives carrying a sampled wire-v3 trace context (trace_id +
 // trace_sampled, stamped by a remote caller) or when the router's own
 // per-million sampling draw fires. Either way the router stamps the
 // context into every scattered copy, each shard force-samples and returns
@@ -76,10 +81,10 @@ namespace spatial {
 // RouterTraceRecord — root spans (queue, scatter, merge), one ShardSpan
 // per visited shard (labelled with its shard index, ascending) with the
 // network-vs-execute split, and the straggler shard — into its
-// DistTraceLog. Requests whose scatter-gather round trip crosses
-// the slow threshold are captured in the same log even when unsampled
-// (without the per-shard queue-wait / per-level detail only a sampled
-// round trip carries).
+// DistTraceLog. Round trips that cross the slow threshold are captured in
+// the same log even when unsampled (without the per-shard queue-wait /
+// per-level detail only a sampled round trip carries), so a reverse kNN
+// leaves one entry per round trip.
 //
 // Thread-safe: Execute() may be called from any number of threads (the
 // RPC server's connection threads do exactly that); all shared state is
@@ -135,10 +140,14 @@ class ShardRouter {
     QueryResponse<D> response;
   };
 
+  // The one round trip: plan, gather, fold, merge, record.
   QueryResponse<D> ScatterQuery(const QueryRequest<D>& request);
-  QueryResponse<D> RouteReverseKnn(const QueryRequest<D>& request);
-  QueryResponse<D> RouteInsert(const QueryRequest<D>& request);
-  QueryResponse<D> Broadcast(const QueryRequest<D>& request);
+  void MergeAnswers(const QueryRequest<D>& request,
+                    const std::vector<ShardAnswer>& answers,
+                    QueryResponse<D>* merged);
+  // Replaces a reverse kNN's candidates with the verified answer.
+  void VerifyReverseKnn(const QueryRequest<D>& request,
+                        QueryResponse<D>* response);
   void RegisterMetrics();
   // Builds and records the RouterTraceRecord for one scatter round trip
   // over the visited shards' answers (ascending shard index).

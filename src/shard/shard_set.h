@@ -82,14 +82,14 @@ class ShardSet {
   // Every shard's extent: a rectangle containing every object the shard
   // has held since Build(). It starts as the shard's partition tile
   // (Rect::Empty() if the shard received no objects) and never shrinks —
-  // the router grows it with GrowExtent() before it submits an insert, and
-  // deletes leave it alone. The router routes inserts and prunes kNN shard
-  // visits against the same rectangles, and every router over the set
-  // shares them, so a kNN issued after an insert's ack sees the grown
-  // extent. An extent wider than its shard's data costs pruning, never
-  // correctness; an insert submitted to shard(i) directly, bypassing the
-  // router, does not grow it and may be missed by routed kNN. Returns a
-  // snapshot taken under one lock.
+  // the router grows it with GrowExtent() once the shard acks an insert,
+  // before the router returns; deletes leave it alone. The router routes
+  // inserts and prunes kNN shard visits against the same rectangles, and
+  // every router over the set shares them, so a kNN issued after an
+  // insert's ack sees the grown extent. An extent wider than its shard's
+  // data costs pruning, never correctness; an insert submitted to
+  // shard(i) directly, bypassing the router, does not grow it and may be
+  // missed by routed kNN. Returns a snapshot taken under one lock.
   std::vector<Rect<D>> extents() const;
 
   // Widens shard i's extent to cover `mbr`.

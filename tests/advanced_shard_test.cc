@@ -2,7 +2,8 @@
 // counts {1, 2, 4} and both backends, the router's reverse k-NN and NN
 // skyline answers must be byte-identical to the brute-force references
 // (and hence to a single whole-dataset tree), and approximate kNN must
-// keep its (1+epsilon) contract after the cross-shard merge.
+// keep its (1+epsilon) contract after the cross-shard merge. A reverse
+// kNN's internal round trips are not counted as router requests.
 
 #include "shard/shard_router.h"
 
@@ -15,6 +16,7 @@
 #include "common/rng.h"
 #include "data/dataset.h"
 #include "data/uniform.h"
+#include "geom/metrics.h"
 #include "tests/reference.h"
 #include "tests/test_util.h"
 
@@ -179,6 +181,51 @@ TEST(AdvancedShardTest, RouterExposesPerKindAndRknnMetrics) {
             std::string::npos);
   EXPECT_NE(scrape.find("spatial_router_rknn_verify_rounds_total"),
             std::string::npos);
+}
+
+// The value of one series in a scrape, e.g. `name{kind="knn"}`.
+uint64_t SeriesValue(const std::string& scrape, const std::string& series) {
+  const size_t at = scrape.find("\n" + series + " ");
+  EXPECT_NE(at, std::string::npos) << series;
+  if (at == std::string::npos) return 0;
+  return std::stoull(scrape.substr(at + series.size() + 2));
+}
+
+TEST(AdvancedShardTest, ReverseKnnRoundsAreNotCountedAsRequests) {
+  // A reverse kNN is one request: its candidate round and its kKnn
+  // verification rounds are internal round trips, counted as verification
+  // rounds but not as router requests.
+  const auto data = MakeData(1200);
+  auto set = ShardSet<2>::Build(data, SetOptions(4, false, ""));
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ShardRouter<2> router(set->get());
+  const Point2 q{{0.37, 0.61}};
+
+  // The router verifies every global candidate that does not coincide
+  // with q.
+  QueryRequest<2> candidates_only = QueryRequest<2>::ReverseKnn(q, 2);
+  candidates_only.rknn_candidates_only = true;
+  const QueryResponse<2> candidates = router.Execute(candidates_only);
+  ASSERT_TRUE(candidates.ok()) << candidates.status.ToString();
+  uint64_t to_verify = 0;
+  for (const Entry<2>& e : candidates.entries) {
+    to_verify += MinDistSq<2>(q, e.mbr) != 0.0;
+  }
+  ASSERT_GT(to_verify, 0u);
+
+  const std::string knn = "spatial_router_requests_total{kind=\"knn\"}";
+  const std::string rknn =
+      "spatial_router_requests_total{kind=\"reverse-knn\"}";
+  const std::string rounds = "spatial_router_rknn_verify_rounds_total";
+  const std::string before = router.ScrapeMetrics();
+  QueryResponse<2> got = router.Execute(QueryRequest<2>::ReverseKnn(q, 2));
+  ASSERT_TRUE(got.ok()) << got.status.ToString();
+  ExpectNeighborsByteIdentical(got.neighbors, RefReverseKnn<2>(data, q, 2));
+  const std::string after = router.ScrapeMetrics();
+  EXPECT_EQ(SeriesValue(after, knn), SeriesValue(before, knn));
+  EXPECT_EQ(SeriesValue(after, rknn) - SeriesValue(before, rknn), 1u);
+  EXPECT_EQ(SeriesValue(after, rounds) - SeriesValue(before, rounds),
+            to_verify);
 }
 
 }  // namespace

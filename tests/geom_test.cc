@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "geom/point.h"
 #include "geom/rect.h"
 
@@ -36,6 +38,24 @@ TEST(RectTest, EmptyBehaviour) {
   EXPECT_FALSE(e.IsValid());
   EXPECT_EQ(e.Area(), 0.0);
   EXPECT_EQ(e.Margin(), 0.0);
+}
+
+TEST(RectTest, InfiniteBoundIsNotValid) {
+  // A stored MBR must be finite: one infinite bound would cover a half
+  // plane, and every kNN would find the object at distance 0.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int d = 0; d < 2; ++d) {
+    Rect2 low = Rect2::FromCorners({{0.0, 0.0}}, {{1.0, 1.0}});
+    low.lo[d] = -inf;
+    EXPECT_FALSE(low.IsValid()) << "dim " << d;
+    Rect2 high = Rect2::FromCorners({{0.0, 0.0}}, {{1.0, 1.0}});
+    high.hi[d] = inf;
+    EXPECT_FALSE(high.IsValid()) << "dim " << d;
+  }
+  EXPECT_FALSE((Rect2{{{-inf, -inf}}, {{inf, inf}}}).IsValid());
+  EXPECT_FALSE(Rect2::FromPoint({{inf, 0.5}}).IsValid());
+  EXPECT_TRUE(Rect2::FromCorners({{-1e300, -1e300}}, {{1e300, 1e300}})
+                  .IsValid());
 }
 
 TEST(RectTest, FromPointIsDegenerateAndValid) {

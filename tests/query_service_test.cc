@@ -362,6 +362,34 @@ TEST(QueryServiceTest, InvalidWriteMbrFailsAloneInServingMode) {
   RemoveServingDb(path);
 }
 
+TEST(QueryServiceTest, InfiniteWriteMbrFailsAloneInServingMode) {
+  // An MBR with an infinite bound covers a half plane or more, so every
+  // kNN would find the object at distance 0; the write is refused before
+  // it reaches the WAL and the next write is unaffected.
+  const std::string path = TempPath("service_inf_write.sdb");
+  RemoveServingDb(path);
+  auto service = QueryService<2>::OpenServing(path, ServingOptions{}, {});
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  const double inf = std::numeric_limits<double>::infinity();
+  QueryResponse<2> plane = (*service)->Execute(
+      QueryRequest<2>::Insert(Rect<2>{{{-inf, -inf}}, {{inf, inf}}}, 7));
+  EXPECT_TRUE(plane.status.IsInvalidArgument()) << plane.status.ToString();
+  QueryResponse<2> half = (*service)->Execute(QueryRequest<2>::Insert(
+      Rect<2>::FromCorners({{0.2, 0.2}}, {{inf, 0.3}}), 8));
+  EXPECT_TRUE(half.status.IsInvalidArgument()) << half.status.ToString();
+  QueryResponse<2> acked = (*service)->Execute(
+      QueryRequest<2>::Insert(Rect<2>::FromPoint({{0.5, 0.5}}), 9));
+  ASSERT_TRUE(acked.ok()) << acked.status.ToString();
+  EXPECT_EQ(acked.affected, 1u);
+  QueryResponse<2> knn =
+      (*service)->Execute(QueryRequest<2>::Knn({{0.9, 0.9}}, 5));
+  ASSERT_TRUE(knn.ok());
+  ASSERT_EQ(knn.neighbors.size(), 1u);
+  EXPECT_EQ(knn.neighbors[0].id, 9u);
+  (*service)->Shutdown();
+  RemoveServingDb(path);
+}
+
 TEST(QueryServiceTest, SubmitAfterShutdownResolvesWithError) {
   const auto data = MakeData(100);
   auto db = MakeServableDb(data);

@@ -2,9 +2,10 @@
 // router's merged answers must be byte-identical (memcmp) to the same
 // query against one tree holding the whole dataset. Also covers write
 // routing (insert to one shard, delete broadcast) through the serving
-// backend, that bound streaming never changes an answer, and the kNN
-// routing rule: nearest extent first, other shards pruned by S3 on their
-// extents with a non-strict boundary, extents grown by inserts.
+// backend, that bound streaming never changes an answer, the kNN routing
+// rule (nearest extent first, other shards pruned by S3 on their extents
+// with a non-strict boundary, extents grown by acked inserts only), and
+// that every kind's round trips reach the router trace log.
 
 #include "shard/shard_router.h"
 
@@ -13,6 +14,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -270,13 +272,26 @@ std::vector<Neighbor> BruteForceKnn(const std::vector<Entry<2>>& data,
   return all;
 }
 
-// kKnn requests each shard has executed so far.
-std::vector<uint64_t> KnnCounts(ShardSet<2>& set) {
+// Requests of `kind` each shard has executed so far.
+std::vector<uint64_t> KindCounts(ShardSet<2>& set, QueryKind kind) {
   std::vector<uint64_t> counts;
   for (uint32_t s = 0; s < set.num_shards(); ++s) {
-    counts.push_back(set.shard(s).KindQueryCount(QueryKind::kKnn));
+    counts.push_back(set.shard(s).KindQueryCount(kind));
   }
   return counts;
+}
+
+// kKnn requests each shard has executed so far.
+std::vector<uint64_t> KnnCounts(ShardSet<2>& set) {
+  return KindCounts(set, QueryKind::kKnn);
+}
+
+// Shards whose count moved between two KindCounts snapshots.
+uint32_t ShardsRun(const std::vector<uint64_t>& before,
+                   const std::vector<uint64_t>& after) {
+  uint32_t moved = 0;
+  for (size_t s = 0; s < before.size(); ++s) moved += after[s] != before[s];
+  return moved;
 }
 
 TEST(ShardRouterTest, InteriorKnnRunsOnOneShard) {
@@ -406,6 +421,127 @@ TEST(ShardRouterTest, InsertsOutsideTilesStayReachable) {
   QueryResponse<2> ckpt = router.Execute(QueryRequest<2>::Checkpoint());
   ASSERT_TRUE(ckpt.ok()) << ckpt.status.ToString();
   check();
+}
+
+TEST(ShardRouterTest, RejectedInsertsLeaveExtentsAlone) {
+  // An insert grows its shard's extent only once the shard acks it; a
+  // rejected one must not widen the extent, which never shrinks.
+  const auto data = MakeData(2000);
+  auto options = SetOptions(4, true, ::testing::TempDir() + "/rejected");
+  options.serving = true;
+  ASSERT_EQ(0, system(("mkdir -p " + options.dir).c_str()));
+  auto serving = ShardSet<2>::Build(data, options);
+  ASSERT_TRUE(serving.ok()) << serving.status().ToString();
+  auto read_only = ShardSet<2>::Build(data, SetOptions(4, false, ""));
+  ASSERT_TRUE(read_only.ok()) << read_only.status().ToString();
+
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Probe {
+    const char* what;
+    ShardSet<2>* set;
+    Rect<2> mbr;
+  };
+  const Probe probes[] = {
+      {"lo above hi", serving->get(), Rect<2>{{{-5.0, -5.0}}, {{-6.0, -6.0}}}},
+      {"read-only shards", read_only->get(), Rect<2>::FromPoint({{3.0, 3.0}})},
+      {"infinite MBR", serving->get(), Rect<2>{{{-inf, -inf}}, {{inf, inf}}}},
+  };
+  for (const Probe& probe : probes) {
+    SCOPED_TRACE(probe.what);
+    ShardRouter<2> router(probe.set);
+    const std::vector<Rect<2>> before = probe.set->extents();
+    QueryResponse<2> ins =
+        router.Execute(QueryRequest<2>::Insert(probe.mbr, 1'000'000));
+    EXPECT_TRUE(ins.status.IsInvalidArgument()) << ins.status.ToString();
+    EXPECT_EQ(probe.set->extents(), before);
+
+    // A corner query still finds a data point, not the rejected object.
+    QueryResponse<2> nn = router.Execute(QueryRequest<2>::Knn({{0.9, 0.9}}, 1));
+    ASSERT_TRUE(nn.ok()) << nn.status.ToString();
+    ASSERT_EQ(nn.neighbors.size(), 1u);
+    EXPECT_NE(nn.neighbors[0].id, 1'000'000u);
+  }
+}
+
+TEST(ShardRouterTest, EveryKindOffersItsRoundTripsToTheTraceLog) {
+  const auto data = MakeData(2000);
+  auto options = SetOptions(4, true, ::testing::TempDir() + "/traced");
+  options.serving = true;
+  ASSERT_EQ(0, system(("mkdir -p " + options.dir).c_str()));
+  auto set = ShardSet<2>::Build(data, options);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ShardRouter<2>::Options router_options;
+  router_options.slow_threshold_ns = 0;  // every round trip is captured
+  router_options.slow_log_capacity = 1024;
+  ShardRouter<2> router(set->get(), router_options);
+
+  // Executes `request` and returns the trace-log entries it left, in
+  // capture order.
+  auto send = [&](const QueryRequest<2>& request) {
+    const uint64_t first = router.trace_log().total_recorded();
+    QueryResponse<2> response = router.Execute(request);
+    EXPECT_TRUE(response.ok()) << response.status.ToString();
+    std::vector<obs::RouterTraceRecord> entries;
+    for (const obs::RouterTraceRecord& rec : router.trace_log().SlowEntries()) {
+      if (rec.seq >= first) entries.push_back(rec);
+    }
+    return entries;
+  };
+
+  const Point2 q{{0.5, 0.5}};
+  const Rect<2> window = Rect<2>::FromCorners({{0.3, 0.3}}, {{0.6, 0.7}});
+  const QueryRequest<2> reads[] = {
+      QueryRequest<2>::Knn(q, 3),
+      QueryRequest<2>::ConstrainedKnn(q, window, 3),
+      QueryRequest<2>::Range(window),
+      QueryRequest<2>::TopK(q, 3),
+      QueryRequest<2>::BatchKnn({q, {{0.1, 0.9}}}, 2),
+      QueryRequest<2>::NnSkyline({q, {{0.2, 0.8}}}),
+      QueryRequest<2>::ApproxKnn(q, 3, 0.5),
+  };
+  for (const QueryRequest<2>& read : reads) {
+    SCOPED_TRACE(QueryKindName(read.kind));
+    const std::vector<uint64_t> before = KindCounts(**set, read.kind);
+    const std::vector<obs::RouterTraceRecord> entries = send(read);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_STREQ(entries[0].kind_name, QueryKindName(read.kind));
+    EXPECT_EQ(entries[0].num_shards,
+              ShardsRun(before, KindCounts(**set, read.kind)));
+  }
+
+  // A reverse kNN: its candidate round on every shard, then one kKnn
+  // round per verified candidate.
+  {
+    const std::vector<uint64_t> before =
+        KindCounts(**set, QueryKind::kReverseKnn);
+    const std::vector<obs::RouterTraceRecord> entries =
+        send(QueryRequest<2>::ReverseKnn(q, 1));
+    ASSERT_GE(entries.size(), 2u);
+    EXPECT_STREQ(entries[0].kind_name, "reverse-knn");
+    EXPECT_EQ(entries[0].num_shards, 4u);
+    EXPECT_EQ(ShardsRun(before, KindCounts(**set, QueryKind::kReverseKnn)),
+              4u);
+    for (size_t i = 1; i < entries.size(); ++i) {
+      EXPECT_STREQ(entries[i].kind_name, "knn") << "entry " << i;
+    }
+  }
+
+  // Writes: an insert runs on the one nearest shard, a delete and a
+  // checkpoint on every shard.
+  const Rect<2> mbr = Rect<2>::FromPoint({{0.52, 0.48}});
+  const struct {
+    QueryRequest<2> request;
+    uint32_t shards;
+  } writes[] = {{QueryRequest<2>::Insert(mbr, 1'000'000), 1},
+                {QueryRequest<2>::Delete(mbr, 1'000'000), 4},
+                {QueryRequest<2>::Checkpoint(), 4}};
+  for (const auto& write : writes) {
+    SCOPED_TRACE(QueryKindName(write.request.kind));
+    const std::vector<obs::RouterTraceRecord> entries = send(write.request);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_STREQ(entries[0].kind_name, QueryKindName(write.request.kind));
+    EXPECT_EQ(entries[0].num_shards, write.shards);
+  }
 }
 
 TEST(ShardRouterTest, MetricsExposePerShardFamilies) {

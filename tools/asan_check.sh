@@ -12,6 +12,9 @@
 # batch_knn_test drive the kNN engine's best-first order, whose frontier
 # indexes the ABL arena by frame offsets; incremental_test and
 # group_knn_test drive the GeoBrowse queue and its box slots.
+# shard_router_test and advanced_shard_test drive the router's one round
+# trip and its merges, reverse kNN's candidate re-selection included, and
+# rtree_search_test the R-tree's window walk and its pending-child stack.
 #
 # Usage: tools/asan_check.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -23,7 +26,8 @@ TESTS=(metrics_test metrics_reference_test simd_kernel_test knn_test
        knn_property_test spatial_join_test zero_alloc_test
        resident_tree_test advanced_query_test constrained_test
        net_wire_test best_first_test batch_knn_test incremental_test
-       group_knn_test)
+       group_knn_test shard_router_test advanced_shard_test
+       rtree_search_test)
 
 cmake -B "$BUILD_DIR" -S . -DSPATIAL_SANITIZE=address+undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo

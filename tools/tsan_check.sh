@@ -4,7 +4,9 @@
 # query-service unit tests, the read-only stress test that checks
 # byte-identical results against single-threaded KnnSearch, the
 # serving-mode stress test (concurrent writes + snapshot-pinned readers),
-# the sharded scatter-gather stress test (concurrent router calls with
+# the router's own suite (routed writes and the extent growth that follows
+# each acked insert, racing the shard workers), the sharded
+# scatter-gather stress test (concurrent router calls with
 # shared prune-bound streaming + live metrics scraping, and out-of-tile
 # inserts growing shard extents under kNN readers), the advanced
 # query kinds' cross-shard merge paths (reverse-kNN verification rounds,
@@ -23,13 +25,14 @@ cmake -B "$BUILD_DIR" -S . -DSPATIAL_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target query_service_test service_stress_test serving_stress_test \
-  io_stats_test obs_metrics_test metrics_scrape_test shard_stress_test \
-  resident_tree_test advanced_shard_test distributed_trace_test
+  io_stats_test obs_metrics_test metrics_scrape_test shard_router_test \
+  shard_stress_test resident_tree_test advanced_shard_test \
+  distributed_trace_test
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 for t in io_stats_test obs_metrics_test query_service_test \
-         service_stress_test shard_stress_test resident_tree_test \
-         advanced_shard_test distributed_trace_test; do
+         service_stress_test shard_router_test shard_stress_test \
+         resident_tree_test advanced_shard_test distributed_trace_test; do
   echo "=== TSan: $t ==="
   "$BUILD_DIR/tests/$t"
 done
