@@ -160,6 +160,12 @@ void QueryService<D>::Shutdown() {
   }
   threads_.clear();
   if (writer_thread_.joinable()) writer_thread_.join();
+  // An Execute caller may still be running inline on a context, pinning
+  // its reader slot. Claiming every context waits those runs out; a caller
+  // that claims one afterwards sees stopped_ and answers like Submit.
+  for (const auto& worker : workers_) {
+    std::lock_guard<std::mutex> claim(worker->run_mu);
+  }
   if (serving_db_ != nullptr && reader_slots_held_) {
     for (const auto& worker : workers_) {
       serving_db_->ReleaseReader(worker->reader_slot);
@@ -194,8 +200,11 @@ std::future<QueryResponse<D>> QueryService<D>::Submit(
     return future;
   }
   RequestQueue<Task>& queue = is_write ? *write_queue_ : queue_;
+  // A queued read counts as waiting until a worker claims a context for it.
+  if (!is_write) waiting_.fetch_add(1);
   if (!queue.Push(std::move(task))) {
     // Queue closed; Push left `task` intact, so answer inline.
+    if (!is_write) waiting_.fetch_sub(1);
     QueryResponse<D> response;
     response.status = Status::InvalidArgument("query service is shut down");
     task.promise.set_value(std::move(response));
@@ -205,112 +214,147 @@ std::future<QueryResponse<D>> QueryService<D>::Submit(
 
 template <int D>
 QueryResponse<D> QueryService<D>::Execute(QueryRequest<D> request) {
+  // Run to completion: claim an idle context with one try-lock and run the
+  // read here, skipping the queue push and both thread wake-ups. Queued
+  // work goes first: a read accepted earlier and still waiting for a
+  // context, seen before or after the claim, sends this one to the queue
+  // too. A caller holds a context only while it runs, never while it
+  // waits on a future.
+  if (!IsWriteKind(request.kind) && waiting_.load() == 0) {
+    for (uint32_t i = 0; i < workers_.size(); ++i) {
+      std::unique_lock<std::mutex> claim(workers_[i]->run_mu,
+                                         std::try_to_lock);
+      if (!claim.owns_lock()) continue;
+      if (waiting_.load() != 0 || stopped_.load(std::memory_order_acquire)) {
+        break;
+      }
+      return RunQuery(workers_[i].get(), i, request,
+                      /*submit_time=*/std::nullopt);
+    }
+  }
   return Submit(std::move(request)).get();
 }
 
 template <int D>
 void QueryService<D>::WorkerLoop(Worker* worker, uint32_t worker_id) {
   while (std::optional<Task> task = queue_.Pop()) {
-    const auto start = std::chrono::steady_clock::now();
-    const uint64_t queue_wait_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            start - task->submit_time)
-            .count());
-    worker->queue_wait.Record(queue_wait_ns);
-    // Per-query sampling draw; an armed scratch.trace pointer is the only
-    // thing the traversals see (one pointer test per node visit; nothing
-    // allocates on either path). A propagated trace context (wire v3:
-    // trace_id + trace_sampled) forces the draw, so a router-sampled
-    // request is traced by every shard it scatters to.
-    const bool forced =
-        task->request.trace_sampled && task->request.trace_id != 0;
-    const bool sampled =
-        forced ||
-        obs::SampleDraw(&worker->rng, options_.trace_sample_per_million);
-    if (sampled) {
-      worker->trace_ctx.Reset();
-      worker->trace_ctx.SetSpan(obs::SpanKind::kQueueWait, queue_wait_ns);
-      worker->scratch.trace = &worker->trace_ctx;
-    }
-    QueryResponse<D> response;
-    if (serving_db_ != nullptr) {
-      // Pin the current snapshot for the whole query: the checkpoint
-      // reclaimer will not recycle any page this version can reach until
-      // the Unpin. A reclaim_gen change means some earlier checkpoint DID
-      // recycle ids — cached images of them are stale, drop them.
-      const TreeSnapshot snap = serving_db_->PinSnapshot(worker->reader_slot);
-      Status prep = Status::OK();
-      if (snap.reclaim_gen != worker->last_reclaim_gen) {
-        prep = worker->pool->InvalidateAll();
-        if (prep.ok()) worker->last_reclaim_gen = snap.reclaim_gen;
-      }
-      if (prep.ok()) {
-        worker->tree->Rebase(snap.root_page, snap.size, snap.root_level);
-        // The resident tree is trusted only when it was compiled from
-        // exactly the snapshot this query pinned: a write bumps the epoch
-        // (and usually the COW root), so a stale arena can never serve a
-        // query — it just falls back to the paged path.
-        std::shared_ptr<const ResidentTree<D>> resident;
-        if (options_.resident_tier) {
-          std::lock_guard<std::mutex> lock(resident_mu_);
-          resident = resident_;
-        }
-        const ResidentTree<D>* fast =
-            (resident != nullptr &&
-             resident->source_epoch() == snap.epoch &&
-             resident->root_page() == snap.root_page)
-                ? resident.get()
-                : nullptr;
-        response = Dispatch(worker, task->request, fast);
-      } else {
-        response.status = std::move(prep);
-      }
-      serving_db_->UnpinSnapshot(worker->reader_slot);
-    } else {
-      response = Dispatch(worker, task->request, worker->resident_fixed);
-    }
-    const auto end = std::chrono::steady_clock::now();
-    const uint64_t ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-            .count());
-    response.latency_ns = ns;
-    response.worker_id = worker_id;
-    worker->histogram.Record(ns);
-    (response.ok() ? worker->ok : worker->failed)
-        .fetch_add(1, std::memory_order_relaxed);
-    const int kind = static_cast<int>(task->request.kind);
-    ++worker->kind_count[kind];
-    worker->kind_stats[kind].Add(response.stats);
-    if (sampled) {
-      worker->trace_ctx.SetSpan(obs::SpanKind::kExecute, ns);
-      worker->scratch.trace = nullptr;
-    }
-    if (sampled || ns >= slow_log_->slow_threshold_ns()) {
-      // Stack POD copied into the log's preallocated ring: the capture
-      // path allocates nothing.
-      obs::QueryTraceRecord rec;
-      rec.worker = static_cast<uint16_t>(worker_id);
-      rec.k = task->request.kind == QueryKind::kTopK ? task->request.top_k
-                                                     : task->request.knn.k;
-      rec.SetKindName(QueryKindName(task->request.kind));
-      rec.latency_ns = ns;
-      rec.queue_wait_ns = queue_wait_ns;
-      rec.traced = sampled;
-      rec.stats = response.stats;
-      if (sampled) {
-        for (int l = 0; l < obs::kTraceMaxLevels; ++l) {
-          rec.nodes_per_level[l] = worker->trace_ctx.nodes_per_level[l];
-        }
-        // The response carries the record back to the caller — over the
-        // wire when the request rode a sampled trace context, so the
-        // router can place this shard's span inside the assembled trace.
-        response.trace = rec;
-        response.has_trace = true;
-      }
-      slow_log_->Record(rec);
-    }
+    // An inline caller may hold the context; its run is one query long.
+    std::unique_lock<std::mutex> claim(worker->run_mu);
+    waiting_.fetch_sub(1);
+    QueryResponse<D> response =
+        RunQuery(worker, worker_id, task->request, task->submit_time);
+    claim.unlock();
     task->promise.set_value(std::move(response));
   }
+}
+
+template <int D>
+QueryResponse<D> QueryService<D>::RunQuery(
+    Worker* worker, uint32_t worker_id, const QueryRequest<D>& request,
+    std::optional<std::chrono::steady_clock::time_point> submit_time) {
+  const auto start = std::chrono::steady_clock::now();
+  // The queue-wait histogram covers queued reads only; an inline run is
+  // counted apart and stamps a queue-wait span of 0.
+  uint64_t queue_wait_ns = 0;
+  if (submit_time.has_value()) {
+    queue_wait_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(start -
+                                                             *submit_time)
+            .count());
+    worker->queue_wait.Record(queue_wait_ns);
+  } else {
+    ++worker->inline_runs;
+  }
+  // Per-query sampling draw; an armed scratch.trace pointer is the only
+  // thing the traversals see (one pointer test per node visit; nothing
+  // allocates on either path). A propagated trace context (wire v3:
+  // trace_id + trace_sampled) forces the draw, so a router-sampled
+  // request is traced by every shard it scatters to.
+  const bool forced = request.trace_sampled && request.trace_id != 0;
+  const bool sampled =
+      forced ||
+      obs::SampleDraw(&worker->rng, options_.trace_sample_per_million);
+  if (sampled) {
+    worker->trace_ctx.Reset();
+    worker->trace_ctx.SetSpan(obs::SpanKind::kQueueWait, queue_wait_ns);
+    worker->scratch.trace = &worker->trace_ctx;
+  }
+  QueryResponse<D> response;
+  if (serving_db_ != nullptr) {
+    // Pin the current snapshot for the whole query: the checkpoint
+    // reclaimer will not recycle any page this version can reach until
+    // the Unpin. A reclaim_gen change means some earlier checkpoint DID
+    // recycle ids — cached images of them are stale, drop them.
+    const TreeSnapshot snap = serving_db_->PinSnapshot(worker->reader_slot);
+    Status prep = Status::OK();
+    if (snap.reclaim_gen != worker->last_reclaim_gen) {
+      prep = worker->pool->InvalidateAll();
+      if (prep.ok()) worker->last_reclaim_gen = snap.reclaim_gen;
+    }
+    if (prep.ok()) {
+      worker->tree->Rebase(snap.root_page, snap.size, snap.root_level);
+      // The resident tree is trusted only when it was compiled from
+      // exactly the snapshot this query pinned: a write bumps the epoch
+      // (and usually the COW root), so a stale arena can never serve a
+      // query — it just falls back to the paged path.
+      std::shared_ptr<const ResidentTree<D>> resident;
+      if (options_.resident_tier) {
+        std::lock_guard<std::mutex> lock(resident_mu_);
+        resident = resident_;
+      }
+      const ResidentTree<D>* fast =
+          (resident != nullptr && resident->source_epoch() == snap.epoch &&
+           resident->root_page() == snap.root_page)
+              ? resident.get()
+              : nullptr;
+      response = Dispatch(worker, request, fast);
+    } else {
+      response.status = std::move(prep);
+    }
+    serving_db_->UnpinSnapshot(worker->reader_slot);
+  } else {
+    response = Dispatch(worker, request, worker->resident_fixed);
+  }
+  const auto end = std::chrono::steady_clock::now();
+  const uint64_t ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
+          .count());
+  response.latency_ns = ns;
+  response.worker_id = worker_id;
+  worker->histogram.Record(ns);
+  (response.ok() ? worker->ok : worker->failed)
+      .fetch_add(1, std::memory_order_relaxed);
+  const int kind = static_cast<int>(request.kind);
+  ++worker->kind_count[kind];
+  worker->kind_stats[kind].Add(response.stats);
+  if (sampled) {
+    worker->trace_ctx.SetSpan(obs::SpanKind::kExecute, ns);
+    worker->scratch.trace = nullptr;
+  }
+  if (sampled || ns >= slow_log_->slow_threshold_ns()) {
+    // Stack POD copied into the log's preallocated ring: the capture
+    // path allocates nothing.
+    obs::QueryTraceRecord rec;
+    rec.worker = static_cast<uint16_t>(worker_id);
+    rec.k = request.kind == QueryKind::kTopK ? request.top_k : request.knn.k;
+    rec.SetKindName(QueryKindName(request.kind));
+    rec.latency_ns = ns;
+    rec.queue_wait_ns = queue_wait_ns;
+    rec.traced = sampled;
+    rec.stats = response.stats;
+    if (sampled) {
+      for (int l = 0; l < obs::kTraceMaxLevels; ++l) {
+        rec.nodes_per_level[l] = worker->trace_ctx.nodes_per_level[l];
+      }
+      // The response carries the record back to the caller — over the
+      // wire when the request rode a sampled trace context, so the
+      // router can place this shard's span inside the assembled trace.
+      response.trace = rec;
+      response.has_trace = true;
+    }
+    slow_log_->Record(rec);
+  }
+  return response;
 }
 
 template <int D>
@@ -698,9 +742,13 @@ void QueryService<D>::CollectMetrics(obs::ExpositionWriter& writer) const {
                 obs::MetricType::kHistogram);
   writer.Histogram("spatial_query_latency_ns", "", stats.latency);
   writer.Family("spatial_queue_wait_ns",
-                "Submit-to-dequeue wait per request",
+                "Submit-to-claim wait per queued request",
                 obs::MetricType::kHistogram);
   writer.Histogram("spatial_queue_wait_ns", "", stats.queue_wait);
+  writer.Family("spatial_service_inline_runs_total",
+                "Reads Execute ran on the calling thread without queueing",
+                obs::MetricType::kCounter);
+  writer.Sample("spatial_service_inline_runs_total", "", stats.inline_runs);
 
   obs::HistogramSnapshot read_latency;
   for (const auto& worker : workers_) {
@@ -849,6 +897,7 @@ ServiceStats QueryService<D>::Snapshot() const {
   for (const auto& worker : workers_) {
     stats.queries_ok += worker->ok.load(std::memory_order_relaxed);
     stats.queries_failed += worker->failed.load(std::memory_order_relaxed);
+    stats.inline_runs += worker->inline_runs;
     stats.io += worker->disk->stats();
     stats.buffer += worker->pool->stats();
     for (int kind = 0; kind < kNumQueryKinds; ++kind) {
@@ -891,6 +940,7 @@ void QueryService<D>::ResetStats() {
       worker->tier_hits[kind] = 0;
       worker->tier_fallbacks[kind] = 0;
     }
+    worker->inline_runs = 0;
     worker->histogram.Reset();
     worker->queue_wait.Reset();
     worker->read_latency.Reset();

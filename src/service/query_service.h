@@ -1,10 +1,12 @@
 #ifndef SPATIAL_SERVICE_QUERY_SERVICE_H_
 #define SPATIAL_SERVICE_QUERY_SERVICE_H_
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,23 +47,28 @@ namespace spatial {
 //     per-snapshot under COW in serving mode), so workers share the
 //     on-disk image with no coordination at all.
 //   * Each worker owns a private ReadOnlyDiskView + BufferPool + RTree
-//     handle — the hot path (queue pop aside) takes no locks and touches
-//     no shared mutable state. Physical reads go through the base disk's
-//     thread-safe ReadPageConcurrent (pread on files, stable-memory copy
-//     in-memory).
+//     handle — the hot path (queue pop and context claim aside) takes no
+//     locks and touches no shared mutable state. Physical reads go through
+//     the base disk's thread-safe ReadPageConcurrent (pread on files,
+//     stable-memory copy in-memory).
 //   * Per-query latency lands in a lock-free per-worker histogram;
 //     Snapshot() merges workers into one ServiceStats (percentiles, QPS,
 //     and the paper's page-accesses-per-query, now measurable under load).
+//   * Run to completion: a worker's state is an execution context that
+//     either its thread (for a queued request) or an Execute() caller
+//     (running the read on its own thread) claims. Execute() runs a read
+//     inline only when a context is idle and no accepted request still
+//     waits for one, so an inline caller never overtakes queued work.
 //
 // Usage:
 //   auto svc = QueryService<2>::Open("points.sdb", 1024, {});
 //   auto future = (*svc)->Submit(QueryRequest<2>::Knn({{0.5, 0.5}}, 8));
 //   QueryResponse<2> resp = future.get();
 //
-// Submit may be called from any number of threads. Snapshot() may be
-// called at any time; counters are exact once every submitted future has
-// resolved. The destructor drains outstanding requests and joins the
-// workers.
+// Submit and Execute may be called from any number of threads. Snapshot()
+// may be called at any time; counters are exact once every submitted
+// future has resolved and every Execute has returned. The destructor
+// drains outstanding requests and joins the workers.
 template <int D>
 class QueryService {
  public:
@@ -139,7 +146,10 @@ class QueryService {
   // future answer. After Shutdown(), resolves immediately with an error.
   std::future<QueryResponse<D>> Submit(QueryRequest<D> request);
 
-  // Convenience synchronous round trip.
+  // Synchronous round trip. A read claims an idle execution context and
+  // runs on the calling thread when no request this service accepted is
+  // still waiting for a context; otherwise, and for every write, it is
+  // Submit(...).get(). After Shutdown(), answers like Submit.
   QueryResponse<D> Execute(QueryRequest<D> request);
 
   // Stops accepting requests, drains the queue, joins workers. Idempotent;
@@ -206,10 +216,14 @@ class QueryService {
     std::chrono::steady_clock::time_point submit_time;
   };
 
-  // Everything a worker thread touches while executing queries. Built on
-  // the service thread before workers start; thereafter `stats_ok/failed`
-  // and the histogram are written only by the owning worker.
+  // One execution context: everything a query touches while it runs.
+  // Built on the service thread before workers start. Thereafter a thread
+  // runs a query on it only while holding `run_mu` — its worker thread for
+  // a queued request, or an Execute() caller running inline — so every
+  // counter below stays single-writer, handed between threads by the
+  // mutex.
   struct Worker {
+    std::mutex run_mu;
     std::unique_ptr<ReadOnlyDiskView> disk;
     std::unique_ptr<BufferPool> pool;
     std::optional<RTree<D>> tree;
@@ -219,8 +233,10 @@ class QueryService {
     obs::PowerHistogram read_latency;
     std::atomic<uint64_t> ok{0};
     std::atomic<uint64_t> failed{0};
+    // Reads Execute() ran on this context from the calling thread.
+    obs::StatCounter inline_runs;
     // Traversal counters, sharded per kind; written once per query by the
-    // owning worker, read live by Snapshot() and the metrics scrape.
+    // context's holder, read live by Snapshot() and the metrics scrape.
     obs::AtomicQueryStats kind_stats[kNumQueryKinds];
     obs::StatCounter kind_count[kNumQueryKinds];
     // Sampled tracing: the worker's reusable trace context (armed through
@@ -253,6 +269,13 @@ class QueryService {
   void RegisterMetrics();
   void CollectMetrics(obs::ExpositionWriter& writer) const;
   void WorkerLoop(Worker* worker, uint32_t worker_id);
+  // Runs one read on `worker`, whose run_mu the calling thread holds: the
+  // per-query body of both WorkerLoop and Execute's inline path.
+  // `submit_time` is set for a queued request and empty for an inline run,
+  // which waited for nothing.
+  QueryResponse<D> RunQuery(
+      Worker* worker, uint32_t worker_id, const QueryRequest<D>& request,
+      std::optional<std::chrono::steady_clock::time_point> submit_time);
   void WriterLoop();
   void RunWriteBatch(std::vector<Task>* batch);
   // `resident` is the tree to route eligible kinds through, already
@@ -275,6 +298,9 @@ class QueryService {
   std::unique_ptr<ServingDb<D>> serving_db_;
   const SpatialDb<D>* db_;                  // always valid
   RequestQueue<Task> queue_;
+  // Reads Submit accepted that no context has claimed yet. Execute runs
+  // inline only while it reads zero.
+  std::atomic<uint64_t> waiting_{0};
   // Serving mode: writes bypass the query queue so a burst of queries
   // cannot starve the durability path (and vice versa).
   std::unique_ptr<RequestQueue<Task>> write_queue_;

@@ -20,6 +20,9 @@ struct ServiceStats {
   uint32_t workers = 0;
   uint64_t queries_ok = 0;
   uint64_t queries_failed = 0;
+  // Reads Execute() ran on the calling thread; every other read queued and
+  // has a queue_wait sample, so the two sum to TotalQueries().
+  uint64_t inline_runs = 0;
   double elapsed_seconds = 0.0;  // since service start (or ResetStats)
 
   // Serving mode (OpenServing) only; zero on read-only services.
@@ -41,7 +44,7 @@ struct ServiceStats {
   BufferStats buffer;  // summed over worker buffer pools
   QueryStats query;    // summed over all executed queries
   LatencySnapshot latency;
-  LatencySnapshot queue_wait;  // submit → worker dequeue
+  LatencySnapshot queue_wait;  // submit → context claim, queued reads only
 
   uint64_t TotalQueries() const { return queries_ok + queries_failed; }
 

@@ -32,6 +32,16 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
+// Each router thread's sampling state: a cheap xorshift, lazily seeded
+// from its own slot address, so threads diverge without any shared state.
+uint64_t* RouterRng() {
+  thread_local uint64_t tls_rng = 0;
+  if (tls_rng == 0) {
+    tls_rng = 0x9E3779B97F4A7C15ULL ^ reinterpret_cast<uint64_t>(&tls_rng);
+  }
+  return &tls_rng;
+}
+
 }  // namespace
 
 template <int D>
@@ -134,37 +144,35 @@ void ShardRouter<D>::RegisterMetrics() {
 template <int D>
 QueryResponse<D> ShardRouter<D>::Execute(const QueryRequest<D>& request) {
   requests_by_kind_[static_cast<int>(request.kind)].FetchAdd(1);
-  QueryResponse<D> response = ScatterQuery(request);
+  // Root-of-trace sampling, decided once per request: it is traced when
+  // the caller propagated a sampled context (wire v3) or when the router's
+  // own draw fires, and every round trip it runs — a reverse kNN's
+  // verification rounds too — carries the one decision. The unsampled
+  // path pays one draw here and nothing per shard.
+  uint64_t* rng = RouterRng();
+  const bool external = request.trace_sampled && request.trace_id != 0;
+  const bool sampled =
+      external || obs::SampleDraw(rng, options_.trace_sample_per_million);
+  const uint64_t trace_id =
+      sampled ? (external ? request.trace_id : (obs::NextRandom(rng) | 1)) : 0;
+  QueryResponse<D> response = ScatterQuery(request, trace_id);
   if (response.ok() && request.kind == QueryKind::kReverseKnn &&
       !request.rknn_candidates_only) {
-    VerifyReverseKnn(request, &response);
+    VerifyReverseKnn(request, trace_id, &response);
   }
   if (!response.ok()) failed_->Inc();
   return response;
 }
 
 template <int D>
-QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
+QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request,
+                                              uint64_t trace_id) {
   const auto start = std::chrono::steady_clock::now();
   const uint32_t n = shards_->num_shards();
-
-  // Root-of-trace sampling. Each router thread owns a cheap xorshift state
-  // (lazily seeded from its own slot address, so threads diverge without
-  // any shared state); a request is traced when the caller propagated a
-  // sampled context (wire v3) or when the router's own draw fires. The
-  // unsampled path pays one draw here and nothing per shard — the
-  // per-shard completion clocks below run only for sampled requests.
-  thread_local uint64_t tls_rng = 0;
-  if (tls_rng == 0) {
-    tls_rng = 0x9E3779B97F4A7C15ULL ^ reinterpret_cast<uint64_t>(&tls_rng);
-  }
-  const bool external = request.trace_sampled && request.trace_id != 0;
-  const bool sampled =
-      external || obs::SampleDraw(&tls_rng, options_.trace_sample_per_million);
-  const uint64_t trace_id =
-      sampled ? (external ? request.trace_id : (obs::NextRandom(&tls_rng) | 1))
-              : 0;
-  const uint64_t root_span_id = sampled ? (obs::NextRandom(&tls_rng) | 1) : 0;
+  // The per-shard completion clocks below run only for sampled requests.
+  const bool sampled = trace_id != 0;
+  const uint64_t root_span_id =
+      sampled ? (obs::NextRandom(RouterRng()) | 1) : 0;
 
   // One bound per round trip, on the stack: concurrent router calls
   // never share a bound, so no reset/epoch protocol is needed. Streaming
@@ -195,8 +203,11 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
     scattered.trace_sampled = true;
   }
 
-  // Submits `scattered` to `count` shards at once, then gathers their
-  // answers in submit order. Every round of every kind goes through here.
+  // Runs `scattered` on `count` shards at once and gathers their answers
+  // in plan order. Every round of every kind goes through here. The other
+  // shards are submitted first; the first shard then runs through Execute,
+  // on this thread when one of its contexts is idle, so a one-shard round
+  // crosses no thread at all.
   std::vector<ShardAnswer> answers;
   answers.reserve(n);
   std::vector<std::future<QueryResponse<D>>> futures;
@@ -204,12 +215,14 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
   auto run_round = [&](const uint32_t* shard_ids, size_t count,
                        uint32_t round) {
     futures.clear();
-    for (size_t i = 0; i < count; ++i) {
+    for (size_t i = 1; i < count; ++i) {
       futures.push_back(shards_->shard(shard_ids[i]).Submit(scattered));
     }
     for (size_t i = 0; i < count; ++i) {
-      answers.push_back(
-          ShardAnswer{shard_ids[i], round, 0, futures[i].get()});
+      answers.push_back(ShardAnswer{
+          shard_ids[i], round, 0,
+          i == 0 ? shards_->shard(shard_ids[0]).Execute(scattered)
+                 : futures[i - 1].get()});
       if (sampled) answers.back().completed_ns = ElapsedNs(start);
     }
   };
@@ -468,6 +481,7 @@ void ShardRouter<D>::MergeAnswers(const QueryRequest<D>& request,
 // in sequence, so their latencies add onto the candidate round's.
 template <int D>
 void ShardRouter<D>::VerifyReverseKnn(const QueryRequest<D>& request,
+                                      uint64_t trace_id,
                                       QueryResponse<D>* response) {
   std::vector<Entry<D>> candidates;
   candidates.swap(response->entries);
@@ -478,8 +492,8 @@ void ShardRouter<D>::VerifyReverseKnn(const QueryRequest<D>& request,
       response->neighbors.push_back(Neighbor{c.id, 0.0});
       continue;
     }
-    const QueryResponse<D> around =
-        ScatterQuery(QueryRequest<D>::Knn(c.mbr.Center(), request.knn.k + 1));
+    const QueryResponse<D> around = ScatterQuery(
+        QueryRequest<D>::Knn(c.mbr.Center(), request.knn.k + 1), trace_id);
     rknn_verify_rounds_->Inc();
     if (!around.ok()) {
       response->status = around.status;

@@ -21,8 +21,10 @@ namespace spatial {
 // (modulo distance ties at the k-th position — see docs/SHARDING.md).
 //
 // Every request is one round trip through ScatterQuery, in five steps:
-// plan (the shards and their rounds), gather (submit, then wait for the
-// answers), fold (the first error in shard order, summed stats and
+// plan (the shards and their rounds), gather (submit to every shard of a
+// round but the first, run the first through QueryService::Execute — on
+// the calling thread when one of its contexts is idle — then wait for the
+// rest), fold (the first error in shard order, summed stats and
 // `affected`, the largest `lsn`, each round's slowest latency), merge (by
 // kind) and record (merge_ns and the trace log). Only a reverse kNN runs
 // more round trips than one. Per kind:
@@ -72,10 +74,11 @@ namespace spatial {
 // the pages saved.
 //
 // Distributed tracing (docs/OBSERVABILITY.md "Distributed traces"): the
-// router is the root of a trace. A round trip is traced when its request
-// arrives carrying a sampled wire-v3 trace context (trace_id +
-// trace_sampled, stamped by a remote caller) or when the router's own
-// per-million sampling draw fires. Either way the router stamps the
+// router is the root of a trace. A request is traced when it arrives
+// carrying a sampled wire-v3 trace context (trace_id + trace_sampled,
+// stamped by a remote caller) or when the router's own per-million
+// sampling draw fires, decided once per Execute: every round trip of a
+// sampled request shares its trace id. Either way the router stamps the
 // context into every scattered copy, each shard force-samples and returns
 // its QueryTraceRecord in the response, and the router assembles one
 // RouterTraceRecord — root spans (queue, scatter, merge), one ShardSpan
@@ -140,13 +143,16 @@ class ShardRouter {
     QueryResponse<D> response;
   };
 
-  // The one round trip: plan, gather, fold, merge, record.
-  QueryResponse<D> ScatterQuery(const QueryRequest<D>& request);
+  // The one round trip: plan, gather, fold, merge, record. `trace_id` is
+  // the request's sampling decision, made once by Execute (0: unsampled).
+  QueryResponse<D> ScatterQuery(const QueryRequest<D>& request,
+                                uint64_t trace_id);
   void MergeAnswers(const QueryRequest<D>& request,
                     const std::vector<ShardAnswer>& answers,
                     QueryResponse<D>* merged);
-  // Replaces a reverse kNN's candidates with the verified answer.
-  void VerifyReverseKnn(const QueryRequest<D>& request,
+  // Replaces a reverse kNN's candidates with the verified answer. Each
+  // verification round carries the request's `trace_id`.
+  void VerifyReverseKnn(const QueryRequest<D>& request, uint64_t trace_id,
                         QueryResponse<D>* response);
   void RegisterMetrics();
   // Builds and records the RouterTraceRecord for one scatter round trip

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -222,6 +223,54 @@ TEST(DistributedTraceTest, SlowRoundTripsCaptureWithoutSampling) {
     EXPECT_FALSE(rec.shards[s].traced);
     EXPECT_GT(rec.shards[s].stats.nodes_visited, 0u);
   }
+}
+
+// The value of an unlabelled counter in a scrape, or -1 when absent.
+double CounterValue(const std::string& scrape, const std::string& name) {
+  const std::string needle = "\n" + name + " ";
+  const size_t pos = scrape.find(needle);
+  if (pos == std::string::npos) return -1.0;
+  return std::strtod(scrape.c_str() + pos + needle.size(), nullptr);
+}
+
+TEST(DistributedTraceTest, SampledReverseKnnTracesEveryRoundTrip) {
+  Fixture fx;  // router sampling off: only the caller's context samples
+
+  // A sampled reverse kNN: its candidate round and every verification
+  // round are traced under the caller's one trace id.
+  QueryRequest<2> request = QueryRequest<2>::ReverseKnn({{0.5, 0.5}}, 1);
+  request.trace_id = 0x1234;
+  request.trace_sampled = true;
+  const QueryResponse<2> response = fx.router->Execute(request);
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+
+  const double verify_rounds = CounterValue(
+      fx.router->ScrapeMetrics(), "spatial_router_rknn_verify_rounds_total");
+  ASSERT_GE(verify_rounds, 1.0);
+  const obs::DistTraceLog& log = fx.router->trace_log();
+  ASSERT_LT(verify_rounds, 64.0);  // every entry fits the log's reservoir
+  std::vector<obs::RouterTraceRecord> entries = log.SampledEntries();
+  for (const obs::RouterTraceRecord& rec : log.SlowEntries()) {
+    entries.push_back(rec);
+  }
+  size_t under_id = 0;
+  size_t candidate_rounds = 0;
+  for (const obs::RouterTraceRecord& rec : entries) {
+    if (rec.trace_id != 0x1234) continue;
+    ++under_id;
+    EXPECT_TRUE(rec.traced);
+    if (std::string(rec.kind_name) == "reverse-knn") ++candidate_rounds;
+  }
+  EXPECT_EQ(under_id, 1 + static_cast<size_t>(verify_rounds));
+  EXPECT_EQ(candidate_rounds, 1u);
+  EXPECT_EQ(log.total_recorded(), under_id);
+
+  // Unsampled, the same request draws no samples of its own.
+  Fixture quiet;
+  ASSERT_TRUE(
+      quiet.router->Execute(QueryRequest<2>::ReverseKnn({{0.5, 0.5}}, 1))
+          .status.ok());
+  EXPECT_EQ(quiet.router->trace_log().SampledEntries().size(), 0u);
 }
 
 TEST(DistributedTraceTest, ExpiredDeadlineShedsBeforeShards) {

@@ -107,6 +107,7 @@ TEST(MetricsScrapeTest, ConcurrentScrapeIsConsistent) {
                                  "spatial_io_physical_reads_total",
                                  "spatial_query_latency_ns_count",
                                  "spatial_queue_wait_ns_count",
+                                 "spatial_service_inline_runs_total",
                                  "spatial_slow_queries_recorded_total"}) {
         if (SeriesValue(text, series) < 0.0) ok = false;
       }
@@ -162,7 +163,8 @@ TEST(MetricsScrapeTest, ConcurrentScrapeIsConsistent) {
   });
 
   // kNN-only readers: the one read kind whose traversal fills QueryStats,
-  // so the final counter cross-check below is exact.
+  // so the final counter cross-check below is exact. Every other request
+  // is a Submit, so inline Execute runs and queued runs mix.
   std::vector<std::thread> readers;
   std::atomic<uint64_t> queries_ok{0};
   for (int t = 0; t < kQueryThreads; ++t) {
@@ -170,8 +172,10 @@ TEST(MetricsScrapeTest, ConcurrentScrapeIsConsistent) {
       Rng rng(7 + t);
       for (int i = 0; i < kQueriesPerThread; ++i) {
         const Point<2> q{{rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)}};
+        QueryRequest<2> request = QueryRequest<2>::Knn(q, 4);
         const QueryResponse<2> resp =
-            (*service)->Execute(QueryRequest<2>::Knn(q, 4));
+            i % 2 == 0 ? (*service)->Execute(std::move(request))
+                       : (*service)->Submit(std::move(request)).get();
         if (resp.ok()) ++queries_ok;
       }
     });
@@ -206,6 +210,14 @@ TEST(MetricsScrapeTest, ConcurrentScrapeIsConsistent) {
   EXPECT_EQ(SeriesValue(text, "spatial_queries_by_kind_total",
                         "kind=\"knn\""),
             static_cast<double>(stats.queries_ok));
+  // Each read ran inline or waited in the queue, never both: the inline
+  // counter and the queue-wait histogram partition every outcome.
+  EXPECT_EQ(SeriesValue(text, "spatial_service_inline_runs_total") +
+                SeriesValue(text, "spatial_queue_wait_ns_count"),
+            SeriesValue(text, "spatial_queries_total", "outcome=\"ok\"") +
+                SeriesValue(text, "spatial_queries_total",
+                            "outcome=\"failed\""));
+  EXPECT_GT(SeriesValue(text, "spatial_queue_wait_ns_count"), 0.0);
   // Writes really flowed through the WAL group-commit path.
   EXPECT_GT(SeriesValue(text, "spatial_wal_fsync_ns_count"), 0.0);
   EXPECT_GT(SeriesValue(text, "spatial_checkpoints_total"), 0.0);

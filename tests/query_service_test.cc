@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <future>
 #include <limits>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -403,6 +405,65 @@ TEST(QueryServiceTest, SubmitAfterShutdownResolvesWithError) {
   EXPECT_FALSE(got.ok());
   EXPECT_TRUE(got.status.IsInvalidArgument());
   (*service)->Shutdown();  // idempotent
+}
+
+// Shutdown races 4 threads looping on Execute over 2 contexts, so some
+// calls run inline and some queue. Shutdown claims every context before it
+// releases the reader slots: no query may run once it has returned, and
+// every call answers OK or, once shut down, Submit's InvalidArgument.
+TEST(QueryServiceTest, ShutdownWaitsOutInlineExecuteCallers) {
+  const std::string path = TempPath("service_shutdown_inline.sdb");
+  RemoveServingDb(path);
+  QueryService<2>::Options options;
+  options.num_workers = 2;
+  auto service =
+      QueryService<2>::OpenServing(path, ServingOptions{}, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  std::vector<std::future<QueryResponse<2>>> pending;
+  for (const Entry<2>& e : MakeData(200)) {
+    pending.push_back(
+        (*service)->Submit(QueryRequest<2>::Insert(e.mbr, e.id)));
+  }
+  for (auto& f : pending) ASSERT_TRUE(f.get().ok());
+
+  constexpr int kThreads = 4;
+  std::atomic<uint64_t> answered_ok{0};
+  std::atomic<uint64_t> unexpected{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(900 + t);
+      // Loops until the service answers that it is shut down.
+      for (;;) {
+        const Point2 q{{rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)}};
+        const QueryResponse<2> got =
+            (*service)->Execute(QueryRequest<2>::Knn(q, 4));
+        if (got.ok()) {
+          answered_ok.fetch_add(1);
+        } else {
+          if (!got.status.IsInvalidArgument()) unexpected.fetch_add(1);
+          return;
+        }
+      }
+    });
+  }
+  while (answered_ok.load() < 400) std::this_thread::yield();
+  (*service)->Shutdown();
+  const uint64_t ran = (*service)->Snapshot().TotalQueries();
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(unexpected.load(), 0u);
+  // Every query that ran finished before Shutdown returned, so none used a
+  // released reader slot, and each one is an OK answer.
+  EXPECT_EQ((*service)->Snapshot().TotalQueries(), ran);
+  EXPECT_EQ(answered_ok.load(), ran);
+  const QueryResponse<2> late =
+      (*service)->Execute(QueryRequest<2>::Knn({{0.5, 0.5}}, 1));
+  const QueryResponse<2> submitted =
+      (*service)->Submit(QueryRequest<2>::Knn({{0.5, 0.5}}, 1)).get();
+  EXPECT_TRUE(late.status.IsInvalidArgument());
+  EXPECT_EQ(late.status.ToString(), submitted.status.ToString());
+  RemoveServingDb(path);
 }
 
 TEST(QueryServiceTest, OpenServesFileBackedDatabaseReadOnly) {

@@ -1,7 +1,8 @@
 // Concurrency stress: N worker threads × M random kNN queries through the
 // service must be byte-identical to the single-threaded KnnSearch answers
 // on the same tree. Runs over both backends (in-memory shared disk and a
-// real file read via pread) and with client-side submission concurrency.
+// real file read via pread), with client-side submission concurrency, and
+// with inline Execute callers racing queued Submits for the contexts.
 // tools/tsan_check.sh runs this binary under ThreadSanitizer.
 
 #include <gtest/gtest.h>
@@ -104,6 +105,29 @@ void RunStress(QueryService<2>& service,
   }
 }
 
+// Half the client threads call Execute, which runs on the calling thread
+// whenever a context is idle and nothing queued waits, and half Submit, so
+// inline callers race the worker threads for the same contexts, pools and
+// scratch arenas. Every Execute answer is checked byte for byte.
+void RunMixedStress(QueryService<2>& service,
+                    const std::vector<QueryCase>& golden) {
+  std::vector<std::thread> clients;
+  for (uint32_t t = 0; t < kClientThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (size_t i = 0; i < kQueriesPerClient; ++i) {
+        const QueryCase& c = golden[(t + i * kClientThreads) % golden.size()];
+        QueryRequest<2> request = QueryRequest<2>::Knn(c.query, kK);
+        const QueryResponse<2> response =
+            t % 2 == 0 ? service.Execute(std::move(request))
+                       : service.Submit(std::move(request)).get();
+        ASSERT_TRUE(response.ok()) << response.status.ToString();
+        ExpectByteIdentical(response.neighbors, c.expected);
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+}
+
 // Call only once all traffic has drained (counters are exact when idle).
 void CheckStats(QueryService<2>& service, uint64_t expected_min_queries) {
   const ServiceStats stats = service.Snapshot();
@@ -114,6 +138,9 @@ void CheckStats(QueryService<2>& service, uint64_t expected_min_queries) {
   EXPECT_GE(stats.resident_hits + stats.buffer.logical_fetches,
             stats.queries_ok);
   EXPECT_EQ(stats.latency.total_count, stats.TotalQueries());
+  // Every read either ran inline or waited in the queue.
+  EXPECT_EQ(stats.inline_runs + stats.queue_wait.total_count,
+            stats.TotalQueries());
 }
 
 TEST(ServiceStressTest, InMemoryBackendManyThreads) {
@@ -160,6 +187,31 @@ TEST(ServiceStressTest, FileBackendManyThreadsViaPread) {
   CheckStats(**service,
              static_cast<uint64_t>(kClientThreads) * kQueriesPerClient);
   std::remove(path.c_str());
+}
+
+TEST(ServiceStressTest, InlineExecuteRacesQueuedSubmits) {
+  const auto data = MakeData(4000);
+  SpatialDb<2>::Options db_options;
+  db_options.page_size = 512;
+  db_options.buffer_pages = 64;
+  auto db = SpatialDb<2>::CreateInMemory(db_options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE(db->BulkLoadData(data, BulkLoadMethod::kStr).ok());
+
+  const auto golden = MakeGolden(*db, 100);
+
+  QueryService<2>::Options options;
+  options.num_workers = 4;
+  options.frames_per_worker = 8;
+  auto service = QueryService<2>::Attach(*db, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  RunMixedStress(**service, golden);
+  const uint64_t queries =
+      static_cast<uint64_t>(kClientThreads) * kQueriesPerClient;
+  CheckStats(**service, queries);
+  const ServiceStats stats = (*service)->Snapshot();
+  EXPECT_EQ(stats.TotalQueries(), queries);
+  EXPECT_GT(stats.queue_wait.total_count, 0u);  // the Submit half queued
 }
 
 // Mixed read traffic (all four kinds at once) must not interfere: repeat

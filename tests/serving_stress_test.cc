@@ -145,6 +145,10 @@ TEST(ServingStressTest, ReadersSeeConsistentSnapshotsUnderWriteLoad) {
             static_cast<uint64_t>(kQueryThreads) * kQueriesPerThread);
 
   const ServiceStats stats = (*service)->Snapshot();
+  // The readers call Execute, so the race covered is the inline one:
+  // reads on the caller's thread across snapshot pins and reclaim_gen
+  // pool invalidation.
+  EXPECT_GT(stats.inline_runs, 0u);
   EXPECT_EQ(stats.writes_failed, 0u);
   EXPECT_EQ(stats.writes_ok, static_cast<uint64_t>(kWrites));
   EXPECT_GE(stats.checkpoints, static_cast<uint64_t>(

@@ -25,6 +25,7 @@
 #include "obs/trace.h"
 #include "rtree/bulk_load.h"
 #include "rtree/node.h"
+#include "service/query_service.h"
 #include "storage/resident_tree.h"
 #include "tests/test_util.h"
 
@@ -558,6 +559,54 @@ TEST(ZeroAllocTest, IncrementalScanReusesScratchWithoutAllocating) {
   EXPECT_EQ(produced, f.queries.size() * 16);
   EXPECT_EQ(delta.allocations, 0u)
       << delta.bytes << " bytes allocated across incremental scans";
+}
+
+// Run to completion: a warm Execute(kKnn) on an idle service claims a
+// context and runs on the calling thread, so the tracker sees the whole
+// query. It allocates its answer vector and nothing else: no promise,
+// future or queue node. Both tiers.
+TEST(ZeroAllocTest, InlineExecuteAllocatesOnlyItsAnswer) {
+  Rng rng(406);
+  const auto data =
+      MakePointEntries(GenerateUniform<2>(8000, UnitBounds<2>(), &rng));
+  SpatialDb<2>::Options db_options;
+  db_options.page_size = 1024;
+  auto db = SpatialDb<2>::CreateInMemory(db_options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE(db->BulkLoadData(data, BulkLoadMethod::kStr).ok());
+  Rng qrng(407);
+  const std::vector<Point2> queries =
+      GenerateQueries<2>(data, 64, QueryDistribution::kUniform, 0.0, &qrng);
+  constexpr uint32_t kK = 10;
+
+  for (const bool resident : {true, false}) {
+    QueryService<2>::Options options;
+    options.num_workers = 1;
+    options.frames_per_worker = 2048;  // the whole tree: no eviction
+    options.resident_tier = resident;
+    auto service = QueryService<2>::Attach(*db, options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    auto run = [&]() -> bool {
+      bool all_ok = true;
+      for (const Point2& q : queries) {
+        all_ok &= (*service)->Execute(QueryRequest<2>::Knn(q, kK)).ok();
+      }
+      return all_ok;
+    };
+    ASSERT_TRUE(run());  // warm: scratch high-water mark, pool faulted in
+
+    const uint64_t inline_before = (*service)->Snapshot().inline_runs;
+    const AllocCounts before = ThreadAllocCounts();
+    const bool all_ok = run();
+    const AllocCounts delta = ThreadAllocCounts() - before;
+    ASSERT_TRUE(all_ok);
+    EXPECT_EQ((*service)->Snapshot().inline_runs - inline_before,
+              queries.size());
+    EXPECT_EQ(delta.allocations, queries.size())
+        << (resident ? "resident" : "paged") << ": " << delta.bytes
+        << " bytes in steady state";
+    EXPECT_EQ(delta.bytes, queries.size() * kK * sizeof(Neighbor));
+  }
 }
 
 }  // namespace

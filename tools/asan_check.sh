@@ -15,6 +15,9 @@
 # shard_router_test and advanced_shard_test drive the router's one round
 # trip and its merges, reverse kNN's candidate re-selection included, and
 # rtree_search_test the R-tree's window walk and its pending-child stack.
+# query_service_test and service_stress_test drive the service's inline
+# path, which lends a worker's scratch arenas and buffer pool to caller
+# threads and returns answers by value.
 #
 # Usage: tools/asan_check.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -27,7 +30,7 @@ TESTS=(metrics_test metrics_reference_test simd_kernel_test knn_test
        resident_tree_test advanced_query_test constrained_test
        net_wire_test best_first_test batch_knn_test incremental_test
        group_knn_test shard_router_test advanced_shard_test
-       rtree_search_test)
+       rtree_search_test query_service_test service_stress_test)
 
 cmake -B "$BUILD_DIR" -S . -DSPATIAL_SANITIZE=address+undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -1,14 +1,20 @@
 #!/usr/bin/env bash
 # Builds the repo with ThreadSanitizer (-DSPATIAL_SANITIZE=thread) into a
 # dedicated build directory and runs the concurrency-sensitive tests: the
-# query-service unit tests, the read-only stress test that checks
-# byte-identical results against single-threaded KnnSearch, the
-# serving-mode stress test (concurrent writes + snapshot-pinned readers),
+# query-service unit tests (Shutdown racing inline Execute callers), the
+# read-only stress test that checks byte-identical results against
+# single-threaded KnnSearch (inline Execute callers racing worker threads
+# for the same execution contexts), the serving-mode stress test
+# (concurrent writes + snapshot-pinned readers, which run inline on their
+# own threads across snapshot pins and reclaim_gen pool invalidation),
 # the router's own suite (routed writes and the extent growth that follows
 # each acked insert, racing the shard workers), the sharded
 # scatter-gather stress test (concurrent router calls with
 # shared prune-bound streaming + live metrics scraping, and out-of-tile
-# inserts growing shard extents under kNN readers), the advanced
+# inserts growing shard extents under kNN readers, each router call
+# running one shard of every round inline while the others run on their
+# worker threads), the metrics scrape test (inline and queued reads mixed
+# under live scrapes), the advanced
 # query kinds' cross-shard merge paths (reverse-kNN verification rounds,
 # skyline re-merge, approx contract merge), the resident tier's
 # publish/invalidate/recompile-under-write-load race coverage, and the
