@@ -16,8 +16,8 @@ namespace spatial {
 // it cannot beat the k-th candidate *or* cannot intersect the region.
 // `tree` is either tier.
 //
-// Options that apply: k, ordering, use_s3, max_distance and shared_bound,
-// as for plain kNN. use_s1 and use_s2 are ignored (the object MINMAXDIST
+// Options that apply: k, ordering, use_s3 and max_distance, as for plain
+// kNN. use_s1 and use_s2 are ignored (the object MINMAXDIST
 // promises may lie outside the region), and a nonzero epsilon or
 // max_visits is InvalidArgument. Returns fewer than k neighbors when the
 // region holds fewer than k objects within max_distance.

@@ -226,20 +226,7 @@ class KnnEngine {
     double bound = max_dist_sq_;
     if (options_.use_s3) bound = std::min(bound, scratch_->buffer.WorstDistSq());
     if (s2_active_) bound = std::min(bound, estimate_sq_);
-    // Cross-shard streaming: another shard's published k-th distance is a
-    // valid upper bound on the global k-th distance (core/shared_bound.h).
-    if (options_.shared_bound != nullptr) {
-      bound = std::min(bound, options_.shared_bound->LoadSq());
-    }
     return bound;
-  }
-
-  // Publishes this search's local k-th distance to the shared bound once
-  // the buffer holds k candidates; called whenever an offer tightened it.
-  void PublishBound() {
-    if (options_.shared_bound != nullptr && scratch_->buffer.full()) {
-      options_.shared_bound->TightenSq(scratch_->buffer.WorstDistSq());
-    }
   }
 
   // Compacts the survivors idx[0, kept) to the entries whose MBR meets the
@@ -328,10 +315,7 @@ class KnnEngine {
         }
         continue;
       }
-      if (buffer.Offer(node.id(i), dist[i])) {
-        PublishBound();
-        bound_sq = ObjectBoundSq();
-      }
+      if (buffer.Offer(node.id(i), dist[i])) bound_sq = ObjectBoundSq();
     }
   }
 

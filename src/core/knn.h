@@ -12,7 +12,6 @@
 #include "core/node_access.h"
 #include "core/query_stats.h"
 #include "core/scratch.h"
-#include "core/shared_bound.h"
 #include "geom/point.h"
 #include "geom/rect.h"
 #include "rtree/rtree.h"
@@ -52,20 +51,11 @@ struct KnnOptions {
   bool use_s2 = true;
   bool use_s3 = true;
 
-  // Cross-shard bound streaming (shard/shard_router.h). When set, the
-  // search additionally prunes against this shared upper bound on the
-  // global k-th distance and publishes its own local k-th distance into it
-  // once its buffer is full. Results are unchanged — the bound can only
-  // discard objects beyond the global k-th neighbor (see
-  // core/shared_bound.h for the argument) — but laggard shards skip work.
-  // Standalone (single-tree) callers leave it null.
-  SharedPruneBound* shared_bound = nullptr;
-
   // Distance-bounded kNN: only objects at distance <= max_distance qualify
   // as answers. Seeds the prune bound before descent (the search starts at
-  // max_distance^2 instead of +inf), so it composes with S1/S3, the shared
-  // shard bound, and both tiers; the result may then hold fewer than k
-  // neighbors even on a large tree. Infinity (the default) disables it.
+  // max_distance^2 instead of +inf), so it composes with S1/S3 and both
+  // tiers; the result may then hold fewer than k neighbors even on a large
+  // tree. Infinity (the default) disables it.
   double max_distance = std::numeric_limits<double>::infinity();
 
   // Approximate kNN (arXiv:1303.1951): subtree descent is pruned at

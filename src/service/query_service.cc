@@ -27,7 +27,7 @@ QueryService<D>::QueryService(const SpatialDb<D>* db,
     : options_(options),
       owned_db_(std::move(owned)),
       db_(db),
-      queue_(options.queue_capacity),
+      queue_(kQueueCapacity),
       epoch_(std::chrono::steady_clock::now()) {}
 
 template <int D>
@@ -138,8 +138,7 @@ Status QueryService<D>::StartWorkers() {
                           workers_[i].get(), i);
   }
   if (serving_db_ != nullptr) {
-    write_queue_ =
-        std::make_unique<RequestQueue<Task>>(options_.queue_capacity);
+    write_queue_ = std::make_unique<RequestQueue<Task>>(kQueueCapacity);
     writer_thread_ = std::thread(&QueryService<D>::WriterLoop, this);
   }
   return Status::OK();
@@ -580,7 +579,7 @@ Status QueryService<D>::CompileResident(PageId root_page, uint64_t tree_size,
   ReadOnlyDiskView disk(&db_->disk());
   BufferPool pool(&disk, /*capacity=*/64, options_.eviction);
   typename ResidentTree<D>::Options opts;
-  opts.max_arena_bytes = options_.resident_max_bytes;
+  opts.max_arena_bytes = kResidentMaxBytes;
   opts.source_epoch = source_epoch;
   SPATIAL_ASSIGN_OR_RETURN(
       ResidentTree<D> compiled,
@@ -619,7 +618,7 @@ Status QueryService<D>::RecompileResidentTier() {
     return resident_ != nullptr
                ? Status::OK()
                : Status::ResourceExhausted(
-                     "resident tree exceeds resident_max_bytes");
+                     "resident tree exceeds kResidentMaxBytes");
   }
   // Pin the snapshot for the whole walk so no page this version reaches
   // can be recycled mid-compile. If a write publishes a newer version
@@ -645,8 +644,8 @@ template <int D>
 void QueryService<D>::RegisterMetrics() {
   metrics_ = std::make_unique<obs::MetricsRegistry>();
   obs::SlowQueryLog::Options log_options;
-  log_options.slow_capacity = options_.slow_log_capacity;
-  log_options.sampled_capacity = options_.sampled_log_capacity;
+  log_options.slow_capacity = kSlowLogCapacity;
+  log_options.sampled_capacity = kSampledLogCapacity;
   log_options.slow_threshold_ns = options_.slow_query_threshold_ns;
   slow_log_ = std::make_unique<obs::SlowQueryLog>(log_options);
   metrics_->AddCollector(

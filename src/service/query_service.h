@@ -78,7 +78,6 @@ class QueryService {
     // time, so even tiny pools work; larger pools cache the hot upper
     // tree levels per worker (E14 varies this).
     uint32_t frames_per_worker = 256;
-    size_t queue_capacity = 1024;
     EvictionPolicy eviction = EvictionPolicy::kLru;
     // Benchmarking aid: make every physical read sleep this long, modelling
     // a rotational disk so throughput scaling reflects I/O overlap rather
@@ -92,11 +91,10 @@ class QueryService {
     // order bit-identical to the paged path. Serving mode drops the compiled
     // tree whenever a write publishes a new version and falls back to the
     // paged path until RecompileResidentTier() is called; a tree whose
-    // arena would exceed resident_max_bytes also stays paged. Compile
+    // arena would exceed kResidentMaxBytes also stays paged. Compile
     // failures are silent: residency is a performance tier, never a
     // correctness requirement.
     bool resident_tier = true;
-    uint64_t resident_max_bytes = 1ull << 32;  // 4 GiB
 
     // Observability (docs/OBSERVABILITY.md). Sampling is per query, drawn
     // from a per-worker xorshift: 0 = tracing off (the default; queries
@@ -105,8 +103,6 @@ class QueryService {
     // (without per-level counts unless they were also sampled).
     uint32_t trace_sample_per_million = 0;
     uint64_t slow_query_threshold_ns = 10'000'000;  // 10 ms
-    size_t slow_log_capacity = 64;     // retained slow entries
-    size_t sampled_log_capacity = 64;  // reservoir of sampled traces
 
     Status Validate() const {
       if (num_workers < 1) {
@@ -118,6 +114,14 @@ class QueryService {
       return Status::OK();
     }
   };
+
+  // Fixed sizes: each of the read and write request queues (Submit blocks
+  // while one is full), the resident arena cap, and the slow-query log's
+  // two populations (docs/OBSERVABILITY.md "Slow-query capture").
+  static constexpr size_t kQueueCapacity = 1024;
+  static constexpr uint64_t kResidentMaxBytes = 1ull << 32;  // 4 GiB
+  static constexpr size_t kSlowLogCapacity = 64;     // retained slow entries
+  static constexpr size_t kSampledLogCapacity = 64;  // sampled reservoir
 
   // Opens `path` read-only and serves it; the service owns the database.
   static Result<std::unique_ptr<QueryService>> Open(const std::string& path,

@@ -28,9 +28,9 @@ struct Partition {
 // (rtree/str_sort.h, tile capacity = ceil(n / num_shards)), then slices the
 // ordered run into contiguous chunks spread evenly — every shard gets
 // floor(n / num_shards) or one more, mirroring the loader's PackLevel
-// spread. Spatial locality is what makes the shared prune bound effective:
-// a kNN query's true neighbors cluster in one or two tiles, whose k-th
-// distance then prunes the remaining shards (docs/SHARDING.md).
+// spread. Spatial locality is what makes routing by extent effective: a
+// query's answers cluster in one or two tiles, whose k-th distance (or
+// whose window miss) then prunes the remaining shards (docs/SHARDING.md).
 //
 // Deterministic: equal inputs produce equal partitions (the STR sort is a
 // total order on (center, id) ties aside, and slicing is positional).

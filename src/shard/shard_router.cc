@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/reverse_knn.h"
-#include "core/shared_bound.h"
 #include "core/skyline.h"
 #include "geom/metrics.h"
 
@@ -52,7 +51,7 @@ ShardRouter<D>::ShardRouter(ShardSet<D>* shards, const Options& options)
                                             options.sampled_log_capacity,
                                             options.slow_threshold_ns}) {
   for (uint32_t s = 0; s < shards_->num_shards(); ++s) {
-    all_shards_.push_back(s);
+    all_shards_.emplace_back(0.0, s);
   }
   RegisterMetrics();
 }
@@ -70,28 +69,31 @@ void ShardRouter<D>::RegisterMetrics() {
   traces_assembled_ = metrics_.AddCounter(
       "spatial_router_traces_assembled_total",
       "Sampled cross-shard traces assembled from per-shard trace records");
-  shards_pruned_ = metrics_.AddCounter(
-      "spatial_router_shards_pruned_total",
-      "kNN shard visits skipped by the extent test");
   merge_ns_ = metrics_.AddHistogram(
       "spatial_router_merge_ns",
       "Scatter-gather wall time per round trip (submit to merged answer)");
 
-  // Requests by kind: one spatial_router_requests_total family, one sample
+  // Requests and pruned shard visits by kind: one family each, one sample
   // per kind labelled kind="..." (label values keep the hyphenated kind
   // names — hyphens are legal in label values, unlike metric names). The
   // cells are relaxed atomics written from any connection thread; the
   // collector reads them live at scrape time.
   metrics_.AddCollector([this](obs::ExpositionWriter& writer) {
-    writer.Family("spatial_router_requests_total", "Router requests by kind",
-                  obs::MetricType::kCounter);
-    for (int k = 0; k < kNumQueryKinds; ++k) {
-      writer.Sample(
-          "spatial_router_requests_total",
-          std::string("kind=\"") + QueryKindName(static_cast<QueryKind>(k)) +
-              "\"",
-          requests_by_kind_[k].value());
-    }
+    auto by_kind = [&writer](const char* name, const char* help,
+                             const obs::StatCounter* cells) {
+      writer.Family(name, help, obs::MetricType::kCounter);
+      for (int k = 0; k < kNumQueryKinds; ++k) {
+        writer.Sample(name,
+                      std::string("kind=\"") +
+                          QueryKindName(static_cast<QueryKind>(k)) + "\"",
+                      cells[k].value());
+      }
+    };
+    by_kind("spatial_router_requests_total", "Router requests by kind",
+            requests_by_kind_);
+    by_kind("spatial_router_shards_pruned_total",
+            "Shard visits skipped by the extent tests (window miss or S3)",
+            shards_pruned_by_kind_);
     writer.Family(
         "spatial_router_traces_recorded_total",
         "Scatter round trips offered to the router trace log (sampled or "
@@ -174,19 +176,7 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request,
   const uint64_t root_span_id =
       sampled ? (obs::NextRandom(RouterRng()) | 1) : 0;
 
-  // One bound per round trip, on the stack: concurrent router calls
-  // never share a bound, so no reset/epoch protocol is needed. Streaming
-  // applies to plain and approximate kNN. Constrained kNN and top-k run
-  // the same kNN engine but do not stream yet; top-k reaches it through
-  // BestFirstKnn, which takes no KnnOptions. For kApproxKnn the published
-  // bounds are exact (unrelaxed) local k-th distances, so streaming
-  // tightens pruning without widening the (1+epsilon) contract.
-  SharedPruneBound bound;
   QueryRequest<D> scattered = request;
-  if (options_.stream_bound && (request.kind == QueryKind::kKnn ||
-                                request.kind == QueryKind::kApproxKnn)) {
-    scattered.knn.shared_bound = &bound;
-  }
   // A reverse kNN's round trip is its candidate round: every shard
   // generates (but does not verify) its local sector candidates. A local
   // filter only ever drops objects that its own shard proves cannot be
@@ -212,93 +202,109 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request,
   answers.reserve(n);
   std::vector<std::future<QueryResponse<D>>> futures;
   futures.reserve(n);
-  auto run_round = [&](const uint32_t* shard_ids, size_t count,
-                       uint32_t round) {
+  auto run_round = [&](const Branch* plan, size_t count, uint32_t round) {
     futures.clear();
     for (size_t i = 1; i < count; ++i) {
-      futures.push_back(shards_->shard(shard_ids[i]).Submit(scattered));
+      futures.push_back(shards_->shard(plan[i].second).Submit(scattered));
     }
     for (size_t i = 0; i < count; ++i) {
       answers.push_back(ShardAnswer{
-          shard_ids[i], round, 0,
-          i == 0 ? shards_->shard(shard_ids[0]).Execute(scattered)
+          plan[i].second, round, 0,
+          i == 0 ? shards_->shard(plan[0].second).Execute(scattered)
                  : futures[i - 1].get()});
       if (sampled) answers.back().completed_ns = ElapsedNs(start);
     }
   };
 
-  if (request.kind == QueryKind::kKnn) {
-    // The paper's ordered depth-first search at the root of the
-    // distributed tree: the shards are the root's branches and their
-    // extents the branch MBRs. Sort the non-empty shards by MINDIST
-    // (ties to the lower index) and run the nearest alone.
+  // The plan. Kinds with a window, a query point and a k, or an insert
+  // MBR take the root-node rule over the extents; every other kind runs
+  // on all shards in one round.
+  const QueryKind kind = request.kind;
+  const bool ordered = kind == QueryKind::kKnn || kind == QueryKind::kTopK ||
+                       kind == QueryKind::kApproxKnn ||
+                       kind == QueryKind::kConstrainedKnn;
+  const bool windowed =
+      kind == QueryKind::kConstrainedKnn || kind == QueryKind::kRange;
+  if (!ordered && !windowed && kind != QueryKind::kInsert) {
+    run_round(all_shards_.data(), n, 0);
+  } else {
+    // Window miss: a shard whose extent is empty or misses the window
+    // holds no object that meets it. The rest are keyed by MINDIST from
+    // the query point (or the insert MBR) to the whole extent and sorted,
+    // ties to the lower index.
     const std::vector<Rect<D>> extents = shards_->extents();
-    std::vector<std::pair<double, uint32_t>> branches;
+    std::vector<Branch> branches;
     branches.reserve(n);
     for (uint32_t s = 0; s < n; ++s) {
-      if (extents[s].IsEmpty()) continue;
-      branches.emplace_back(MinDistSq<D>(request.query, extents[s]), s);
+      const Rect<D>& extent = extents[s];
+      if (extent.IsEmpty()) continue;
+      if (windowed && !extent.Intersects(request.window)) continue;
+      // kRange keeps index order, and so does an invalid insert MBR, which
+      // the shard rejects.
+      double key = 0.0;
+      if (ordered) {
+        key = MinDistSq<D>(request.query, extent);
+      } else if (kind == QueryKind::kInsert && request.window.IsValid()) {
+        key = MinDistSq<D>(extent, request.window);
+      }
+      branches.emplace_back(key, s);
     }
     std::sort(branches.begin(), branches.end());
-    // Every shard empty: shard 0 still validates the request and answers.
-    if (branches.empty()) branches.emplace_back(0.0, 0);
-    run_round(&branches[0].second, 1, 0);
+    // No shard qualifies: shard 0 still validates the request and answers.
+    if (branches.empty()) branches.push_back(all_shards_[0]);
 
-    const QueryResponse<D>& first = answers[0].response;
-    if (first.status.ok()) {
-      // S3 on extents: a shard whose extent lies strictly beyond the
-      // first shard's k-th distance (or max_distance) holds no object the
-      // merge would keep. At equality the shard still runs: it may hold an
-      // object tied with the k-th whose lower id wins the merge.
-      const double max_distance = request.knn.max_distance;
-      double limit_sq = max_distance * max_distance;
-      if (!first.neighbors.empty() &&
-          first.neighbors.size() >= request.knn.k) {
-        limit_sq = std::min(limit_sq, first.neighbors.back().dist_sq);
-      }
-      std::vector<uint32_t> second_round;
-      for (size_t i = 1; i < branches.size(); ++i) {
-        if (branches[i].first <= limit_sq) {
-          second_round.push_back(branches[i].second);
+    if (kind == QueryKind::kRange) {
+      run_round(branches.data(), branches.size(), 0);
+    } else {
+      run_round(branches.data(), 1, 0);  // the nearest runs alone
+      const QueryResponse<D>& first = answers[0].response;
+      if (kind == QueryKind::kInsert) {
+        // The extent grows once the shard has acked, so a rejected insert
+        // leaves it alone, and before the router returns, so every read
+        // issued after the ack prunes against it.
+        if (first.ok()) {
+          shards_->GrowExtent(branches[0].second, request.window);
+        }
+      } else if (first.ok()) {
+        // S3 on extents: a shard whose extent lies strictly beyond the
+        // first shard's k-th distance (or max_distance, which top-k does
+        // not take) holds no object the merge would keep. At equality the
+        // shard still runs: it may hold an object tied with the k-th whose
+        // lower id wins the merge. The shards that pass are a prefix of
+        // the sorted rest.
+        const bool top_k = kind == QueryKind::kTopK;
+        const uint32_t k = top_k ? request.top_k : request.knn.k;
+        const double max_distance =
+            top_k ? std::numeric_limits<double>::infinity()
+                  : request.knn.max_distance;
+        double limit_sq = max_distance * max_distance;
+        if (!first.neighbors.empty() && first.neighbors.size() >= k) {
+          limit_sq = std::min(limit_sq, first.neighbors.back().dist_sq);
+        }
+        size_t end = 1;
+        while (end < branches.size() && branches[end].first <= limit_sq) {
+          ++end;
+        }
+        if (end > 1) {
+          run_round(branches.data() + 1, end - 1, 1);
+          // Spans, status and merge see the shards in index order.
+          std::sort(answers.begin(), answers.end(),
+                    [](const ShardAnswer& x, const ShardAnswer& y) {
+                      return x.shard < y.shard;
+                    });
         }
       }
-      shards_pruned_->Add(n - 1 - second_round.size());
-      if (!second_round.empty()) {
-        run_round(second_round.data(), second_round.size(), 1);
-        // Spans, status and merge see the shards in index order.
-        std::sort(answers.begin(), answers.end(),
-                  [](const ShardAnswer& x, const ShardAnswer& y) {
-                    return x.shard < y.shard;
-                  });
-      }
     }
-  } else if (request.kind == QueryKind::kInsert) {
-    // The nearest extent by MINDIST, ties (e.g. the MBR overlaps several
-    // extents at distance 0) to the lowest index; shard 0 when every
-    // extent is empty. The extent grows once the shard has acked, so a
-    // rejected insert leaves it alone, and before the router returns, so
-    // every kNN issued after the ack prunes against it.
-    const std::vector<Rect<D>> extents = shards_->extents();
-    uint32_t target = 0;
-    double best = std::numeric_limits<double>::infinity();
-    for (uint32_t s = 0; s < n; ++s) {
-      if (extents[s].IsEmpty()) continue;
-      const double d = MinDistSq<D>(extents[s], request.window);
-      if (d < best) {
-        best = d;
-        target = s;
-      }
+    if (kind != QueryKind::kInsert) {
+      shards_pruned_by_kind_[static_cast<int>(kind)].FetchAdd(
+          n - answers.size());
     }
-    run_round(&target, 1, 0);
-    if (answers[0].response.ok()) shards_->GrowExtent(target, request.window);
-  } else {
-    run_round(all_shards_.data(), n, 0);
   }
   const uint64_t scatter_ns = ElapsedNs(start);
 
   // The fold: the first error in shard order, summed stats and `affected`,
   // the largest `lsn`. Shards within a round run concurrently, so each
-  // round costs its slowest shard; the kKnn second round follows the first.
+  // round costs its slowest shard; a second round follows the first.
   QueryResponse<D> merged;
   uint64_t round_ns[2] = {0, 0};
   for (const ShardAnswer& a : answers) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/dist_trace.h"
@@ -27,25 +28,34 @@ namespace spatial {
 // rest), fold (the first error in shard order, summed stats and
 // `affected`, the largest `lsn`, each round's slowest latency), merge (by
 // kind) and record (merge_ns and the trace log). Only a reverse kNN runs
-// more round trips than one. Per kind:
-//   * kKnn — the paper's ordered depth-first search applied at the root of
-//     the distributed tree, whose branches are the shards and whose branch
-//     MBRs are the shard extents (ShardSet::extents()). The non-empty
-//     shards are sorted by MINDIST from the query to their extent (ties to
-//     the lower index) and the nearest runs alone. Then only the shards
-//     whose extent MINDIST^2 <= min(max_distance^2, the first shard's k-th
-//     dist^2 when it returned k neighbors) run, in parallel — the rest are
-//     pruned by S3. The boundary is not strict, so a shard holding an
+// more round trips than one.
+//
+// The plan is the paper's pruning rule at the root of the distributed
+// tree, whose branches are the shards and whose branch MBRs are the shard
+// extents (ShardSet::extents()). It applies the kNN engine's two tests to
+// the non-empty extents — window miss, then MINDIST order with S3 — one
+// sort by (key, shard index), ties to the lower index (docs/SHARDING.md
+// "Routing" argues each kind sound):
+//   * kKnn / kTopK (k = top_k) / kApproxKnn / kConstrainedKnn — keyed by
+//     MINDIST^2 from the query to the extent; a constrained kNN first drops
+//     the extents that miss its region and keys the rest by the *whole*
+//     extent, never extent ∩ region (an object crossing the region edge
+//     toward q lies closer than the clipped box). The nearest runs alone.
+//     Then only the shards whose key <= min(max_distance^2, the first
+//     shard's k-th dist^2 when it returned k neighbors) run, in parallel;
+//     S3 prunes the rest. The boundary is not strict, so a shard holding an
 //     object tied with the k-th distance still runs and the (dist_sq, id)
-//     merge picks the same winner as a full scatter. latency_ns is the
-//     first shard's plus the slowest second-round shard's.
-//   * kConstrainedKnn / kTopK / kBatchKnn / kApproxKnn — scatter to all
-//     shards. Every kNN-shaped answer merges by (dist_sq, id) truncated to
-//     k (per query for the batch kind). The approximate merge keeps the
-//     epsilon contract: the merged k-th distance never exceeds any shard's
-//     local k-th, and every shard's answers individually satisfy
-//     r <= (1+eps) * t.
-//   * kRange — scatter, merge by object id.
+//     merge picks the same winner as a full scatter. Every kNN-shaped
+//     answer merges by (dist_sq, id) truncated to k. The first shard's k-th
+//     distance is a real object's, so for kApproxKnn the pruned shards hold
+//     only objects beyond the true k-th and the merge keeps the epsilon
+//     contract: every rank satisfies r <= (1+eps) * t.
+//   * kRange — one round over the shards whose extent meets the window
+//     (closed intervals, as Rect::Intersects); merge by object id.
+//   * kInsert — run on the single shard whose extent is nearest the new
+//     MBR by MINDIST. Once that shard acks, and before the router returns,
+//     its extent grows to cover the MBR.
+//   * kBatchKnn — scatter; merge per query by (dist_sq, id) truncated to k.
 //   * kNnSkyline — scatter, union the per-shard skylines, re-apply the
 //     dominance filter over the union (the global skyline is a subset of
 //     the union: any global dominator either eliminated its victim inside
@@ -56,22 +66,11 @@ namespace spatial {
 //     survivor is then verified with an exact cross-shard (k+1)-NN, a kKnn
 //     round trip of its own — verification must consult the *global*
 //     dataset, which no single shard holds.
-//   * kInsert — run on the single shard whose extent is nearest the new
-//     MBR (MINDIST, ties to the lowest shard index). Once that shard acks,
-//     and before the router returns, its extent grows to cover the MBR.
 //   * kDelete / kCheckpoint — scatter (a delete must reach whichever
 //     shard holds the object; `affected` sums over shards).
-//
-// Bound streaming: for kKnn / kApproxKnn with Options::stream_bound, the
-// router plants one SharedPruneBound (core/shared_bound.h) into every
-// scattered copy's KnnOptions. Each shard publishes its local k-th
-// distance as soon as its buffer fills and prunes against the tightest
-// bound any shard has found, so laggard shards skip subtrees the global
-// answer has already beaten — for kKnn, the second-round shards start
-// from the first shard's k-th distance. Published bounds are always exact
-// (unrelaxed) local k-th distances, so the merged answer is unchanged for
-// kKnn and the epsilon contract is preserved for kApproxKnn; E19 measures
-// the pages saved.
+// When no shard qualifies, shard 0 validates the request and answers.
+// latency_ns is the first round's slowest shard plus the slowest
+// second-round shard.
 //
 // Distributed tracing (docs/OBSERVABILITY.md "Distributed traces"): the
 // router is the root of a trace. A request is traced when it arrives
@@ -98,7 +97,6 @@ template <int D>
 class ShardRouter {
  public:
   struct Options {
-    bool stream_bound = true;
     // Router-side trace sampling: 0 = off (requests still trace when the
     // caller propagated a sampled context), 10000 = 1%.
     uint32_t trace_sample_per_million = 0;
@@ -133,10 +131,15 @@ class ShardRouter {
   const obs::DistTraceLog& trace_log() const { return trace_log_; }
 
  private:
+  // One shard as a branch of the plan: its extent key (MINDIST^2 for the
+  // kinds that order shards, else 0) and its index. Plans sort by
+  // (key, index).
+  using Branch = std::pair<double, uint32_t>;
+
   // One visited shard's answer within a scatter round trip.
   struct ShardAnswer {
     uint32_t shard = 0;
-    uint32_t round = 0;  // 1 for the kKnn second round, else 0
+    uint32_t round = 0;  // 1 for an ordered kind's second round, else 0
     // Request start → answer observed at the router (sampled requests
     // only, else 0).
     uint64_t completed_ns = 0;
@@ -164,18 +167,19 @@ class ShardRouter {
                           const QueryStats& merged_stats);
 
   ShardSet<D>* shards_;
-  std::vector<uint32_t> all_shards_;  // 0..n-1: a full scatter's plan
+  std::vector<Branch> all_shards_;  // (0, s) for every s: a full scatter
   Options options_;
   obs::MetricsRegistry metrics_;
   obs::DistTraceLog trace_log_;
-  // Multi-writer cells exposed as one spatial_router_requests_total
-  // family labelled kind="..." by a scrape-time collector.
+  // Multi-writer cells exposed as the spatial_router_requests_total and
+  // spatial_router_shards_pruned_total families, labelled kind="...", by a
+  // scrape-time collector.
   obs::StatCounter requests_by_kind_[kNumQueryKinds];
+  obs::StatCounter shards_pruned_by_kind_[kNumQueryKinds];
   obs::Counter* failed_;
   obs::Counter* rknn_candidates_;     // survivors of the global re-selection
   obs::Counter* rknn_verify_rounds_;  // cross-shard verification kNNs issued
   obs::Counter* traces_assembled_;    // sampled cross-shard traces built
-  obs::Counter* shards_pruned_;       // kKnn shard visits skipped
   obs::PowerHistogram* merge_ns_;
 };
 

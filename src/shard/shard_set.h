@@ -33,10 +33,8 @@ namespace spatial {
 // Shards are fully independent — separate disks, buffer pools, worker
 // pools, WALs — so there is no cross-shard coordination at all below the
 // router. Above them the set keeps one extent per shard (see extents()),
-// which every router over the set reads to route inserts and prune kNN
-// shard visits; the only shared state during a query is that extent table
-// and the optional prune bound the router threads through KnnOptions
-// (core/shared_bound.h).
+// which every router over the set reads to route inserts and prune shard
+// visits; the only shared state during a query is that extent table.
 template <int D>
 class ShardSet {
  public:
@@ -84,12 +82,13 @@ class ShardSet {
   // (Rect::Empty() if the shard received no objects) and never shrinks —
   // the router grows it with GrowExtent() once the shard acks an insert,
   // before the router returns; deletes leave it alone. The router routes
-  // inserts and prunes kNN shard visits against the same rectangles, and
-  // every router over the set shares them, so a kNN issued after an
-  // insert's ack sees the grown extent. An extent wider than its shard's
-  // data costs pruning, never correctness; an insert submitted to
-  // shard(i) directly, bypassing the router, does not grow it and may be
-  // missed by routed kNN. Returns a snapshot taken under one lock.
+  // inserts and prunes the shard visits of kNN, top-k, approximate and
+  // constrained kNN and range against the same rectangles, and every
+  // router over the set shares them, so a read issued after an insert's
+  // ack sees the grown extent. An extent wider than its shard's data costs
+  // pruning, never correctness; an insert submitted to shard(i) directly,
+  // bypassing the router, does not grow it and may be missed by routed
+  // reads. Returns a snapshot taken under one lock.
   std::vector<Rect<D>> extents() const;
 
   // Widens shard i's extent to cover `mbr`.

@@ -2,8 +2,9 @@
 // counts {1, 2, 4} and both backends, the router's reverse k-NN and NN
 // skyline answers must be byte-identical to the brute-force references
 // (and hence to a single whole-dataset tree), and approximate kNN must
-// keep its (1+epsilon) contract after the cross-shard merge. A reverse
-// kNN's internal round trips are not counted as router requests.
+// keep its (1+epsilon) contract after the cross-shard merge, including
+// when S3 on the shard extents prunes every shard but the nearest. A
+// reverse kNN's internal round trips are not counted as router requests.
 
 #include "shard/shard_router.h"
 
@@ -226,6 +227,67 @@ TEST(AdvancedShardTest, ReverseKnnRoundsAreNotCountedAsRequests) {
   EXPECT_EQ(SeriesValue(after, rknn) - SeriesValue(before, rknn), 1u);
   EXPECT_EQ(SeriesValue(after, rounds) - SeriesValue(before, rounds),
             to_verify);
+}
+
+// Requests of `kind` each shard has executed so far.
+std::vector<uint64_t> KindCounts(ShardSet<2>& set, QueryKind kind) {
+  std::vector<uint64_t> counts;
+  for (uint32_t s = 0; s < set.num_shards(); ++s) {
+    counts.push_back(set.shard(s).KindQueryCount(kind));
+  }
+  return counts;
+}
+
+TEST(AdvancedShardTest, ApproxKnnRunsOnlyTheShardsS3Keeps) {
+  // The first shard's reported k-th distance is a real object's, so a
+  // shard whose extent lies beyond it holds nothing the true top k needs.
+  // At a tile centre that prunes every other shard; where the tiles meet,
+  // the others run. Either way every rank keeps (1+eps).
+  const auto data = MakeData(1200);
+  auto set = ShardSet<2>::Build(data, SetOptions(4, false, ""));
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ShardRouter<2> router(set->get());
+  const std::vector<Rect<2>> extents = (*set)->extents();
+  uint64_t pruned = 0;
+  for (double eps : {0.0, 0.5}) {
+    for (uint32_t target = 0; target <= extents.size(); ++target) {
+      // The last query sits where the tiles meet.
+      const bool corner = target == extents.size();
+      const Point2 q = corner ? Point2{{0.5, 0.5}} : extents[target].Center();
+      SCOPED_TRACE("eps=" + std::to_string(eps) +
+                   " target=" + std::to_string(target));
+      const std::vector<uint64_t> before =
+          KindCounts(**set, QueryKind::kApproxKnn);
+      QueryResponse<2> got =
+          router.Execute(QueryRequest<2>::ApproxKnn(q, 10, eps));
+      ASSERT_TRUE(got.ok()) << got.status.ToString();
+      const std::vector<uint64_t> after =
+          KindCounts(**set, QueryKind::kApproxKnn);
+      uint32_t ran = 0;
+      for (uint32_t s = 0; s < extents.size(); ++s) {
+        ran += after[s] != before[s];
+        if (!corner) {
+          EXPECT_EQ(after[s] - before[s], s == target ? 1u : 0u)
+              << "shard " << s;
+        }
+      }
+      if (corner) {
+        EXPECT_GT(ran, 1u);
+      }
+      pruned += extents.size() - ran;
+
+      const auto exact = RefKnn<2>(data, q, 10);
+      ASSERT_EQ(got.neighbors.size(), exact.size());
+      const double factor = (1.0 + eps) * (1.0 + eps) * (1.0 + 1e-9);
+      for (size_t i = 0; i < exact.size(); ++i) {
+        EXPECT_LE(got.neighbors[i].dist_sq, exact[i].dist_sq * factor)
+            << "rank " << i;
+      }
+    }
+  }
+  const std::string series =
+      "spatial_router_shards_pruned_total{kind=\"approx-knn\"}";
+  EXPECT_EQ(SeriesValue(router.ScrapeMetrics(), series), pruned);
 }
 
 }  // namespace

@@ -175,7 +175,7 @@ TEST(DistributedTraceTest, InteriorKnnTracesOnlyItsShard) {
             response.stats.nodes_visited);
 
   const std::string scrape = fx.router->ScrapeMetrics();
-  EXPECT_NE(scrape.find("spatial_router_shards_pruned_total " +
+  EXPECT_NE(scrape.find("spatial_router_shards_pruned_total{kind=\"knn\"} " +
                         std::to_string(fx.set->num_shards() - 1)),
             std::string::npos);
 }

@@ -2,10 +2,11 @@
 // router's merged answers must be byte-identical (memcmp) to the same
 // query against one tree holding the whole dataset. Also covers write
 // routing (insert to one shard, delete broadcast) through the serving
-// backend, that bound streaming never changes an answer, the kNN routing
-// rule (nearest extent first, other shards pruned by S3 on their extents
-// with a non-strict boundary, extents grown by acked inserts only), and
-// that every kind's round trips reach the router trace log.
+// backend, each read kind's routing rule (kNN, top-k, approximate and
+// constrained kNN: nearest extent first, other shards pruned by S3 on
+// their extents with a non-strict boundary; constrained kNN and range:
+// extents that miss the window skipped; extents grown by acked inserts
+// only), and that every kind's round trips reach the router trace log.
 
 #include "shard/shard_router.h"
 
@@ -92,11 +93,9 @@ ShardSet<2>::Options SetOptions(uint32_t shards, bool file_backed,
   return options;
 }
 
-void RunEquivalenceSuite(uint32_t shards, bool file_backed,
-                         bool stream_bound) {
+void RunEquivalenceSuite(uint32_t shards, bool file_backed) {
   SCOPED_TRACE("shards=" + std::to_string(shards) +
-               " file=" + std::to_string(file_backed) +
-               " stream=" + std::to_string(stream_bound));
+               " file=" + std::to_string(file_backed));
   const auto data = MakeData(3000);
   auto reference = MakeReference(data);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
@@ -104,9 +103,7 @@ void RunEquivalenceSuite(uint32_t shards, bool file_backed,
   auto set = ShardSet<2>::Build(
       data, SetOptions(shards, file_backed, ::testing::TempDir()));
   ASSERT_TRUE(set.ok()) << set.status().ToString();
-  ShardRouter<2>::Options router_options;
-  router_options.stream_bound = stream_bound;
-  ShardRouter<2> router(set->get(), router_options);
+  ShardRouter<2> router(set->get());
 
   Rng rng(5);
   for (int i = 0; i < 20; ++i) {
@@ -181,44 +178,14 @@ void RunEquivalenceSuite(uint32_t shards, bool file_backed,
 
 TEST(ShardRouterTest, MemoryBackendMatchesSingleTree) {
   for (uint32_t shards : {1u, 2u, 4u, 7u}) {
-    RunEquivalenceSuite(shards, /*file_backed=*/false, /*stream_bound=*/true);
+    RunEquivalenceSuite(shards, /*file_backed=*/false);
   }
 }
 
 TEST(ShardRouterTest, FileBackendMatchesSingleTree) {
   for (uint32_t shards : {1u, 4u}) {
-    RunEquivalenceSuite(shards, /*file_backed=*/true, /*stream_bound=*/true);
+    RunEquivalenceSuite(shards, /*file_backed=*/true);
   }
-}
-
-TEST(ShardRouterTest, IndependentBoundsMatchSingleTree) {
-  RunEquivalenceSuite(4, /*file_backed=*/false, /*stream_bound=*/false);
-}
-
-TEST(ShardRouterTest, SharedBoundSavesPagesOnLaggardShards) {
-  // With streaming on, the shard holding the answer publishes its k-th
-  // distance and the other shards prune against it; total pages visited
-  // must not exceed the independent-bounds total.
-  const auto data = MakeData(5000);
-  auto run = [&](bool stream) {
-    auto set = ShardSet<2>::Build(data, SetOptions(4, false, ""));
-    EXPECT_TRUE(set.ok());
-    ShardRouter<2>::Options options;
-    options.stream_bound = stream;
-    ShardRouter<2> router(set->get(), options);
-    Rng rng(11);
-    uint64_t pages = 0;
-    for (int i = 0; i < 50; ++i) {
-      const Point2 q{{rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)}};
-      QueryResponse<2> r = router.Execute(QueryRequest<2>::Knn(q, 10));
-      EXPECT_TRUE(r.ok());
-      pages += r.stats.nodes_visited;
-    }
-    return pages;
-  };
-  const uint64_t with_bound = run(true);
-  const uint64_t without_bound = run(false);
-  EXPECT_LE(with_bound, without_bound);
 }
 
 TEST(ShardRouterTest, ServingBackendRoutesWrites) {
@@ -272,6 +239,21 @@ std::vector<Neighbor> BruteForceKnn(const std::vector<Entry<2>>& data,
   return all;
 }
 
+// The objects of `data` that meet `window`.
+std::vector<Entry<2>> BruteForceRange(const std::vector<Entry<2>>& data,
+                                      const Rect<2>& window) {
+  std::vector<Entry<2>> inside;
+  for (const Entry<2>& e : data) {
+    if (e.mbr.Intersects(window)) inside.push_back(e);
+  }
+  return inside;
+}
+
+// A square of half-width `r` around `p`.
+Rect<2> Box(const Point2& p, double r) {
+  return Rect<2>::FromCorners({{p[0] - r, p[1] - r}}, {{p[0] + r, p[1] + r}});
+}
+
 // Requests of `kind` each shard has executed so far.
 std::vector<uint64_t> KindCounts(ShardSet<2>& set, QueryKind kind) {
   std::vector<uint64_t> counts;
@@ -279,11 +261,6 @@ std::vector<uint64_t> KindCounts(ShardSet<2>& set, QueryKind kind) {
     counts.push_back(set.shard(s).KindQueryCount(kind));
   }
   return counts;
-}
-
-// kKnn requests each shard has executed so far.
-std::vector<uint64_t> KnnCounts(ShardSet<2>& set) {
-  return KindCounts(set, QueryKind::kKnn);
 }
 
 // Shards whose count moved between two KindCounts snapshots.
@@ -294,7 +271,17 @@ uint32_t ShardsRun(const std::vector<uint64_t>& before,
   return moved;
 }
 
-TEST(ShardRouterTest, InteriorKnnRunsOnOneShard) {
+// The router's pruned-visit count for `kind`.
+std::string PrunedSample(QueryKind kind, uint64_t value) {
+  return std::string("spatial_router_shards_pruned_total{kind=\"") +
+         QueryKindName(kind) + "\"} " + std::to_string(value) + "\n";
+}
+
+TEST(ShardRouterTest, InteriorReadsRunOnOneShard) {
+  // At the centre of a shard's extent the first shard's k-th distance
+  // (kNN, top-k, approximate kNN) lies far closer than any other extent,
+  // and a small window (constrained kNN, range) meets no other extent, so
+  // exactly that shard runs. The skyline has no extent rule: every shard.
   const auto data = MakeData(3000);
   auto reference = MakeReference(data);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
@@ -302,28 +289,73 @@ TEST(ShardRouterTest, InteriorKnnRunsOnOneShard) {
   ASSERT_TRUE(set.ok()) << set.status().ToString();
   ShardRouter<2> router(set->get());
 
-  // A k=1 query at the centre of a shard's extent: its nearest neighbor is
-  // much closer than any other extent, so exactly that shard runs.
   const std::vector<Rect<2>> extents = (*set)->extents();
   for (uint32_t target = 0; target < extents.size(); ++target) {
-    SCOPED_TRACE("target shard " + std::to_string(target));
     const Point2 q = extents[target].Center();
-    const std::vector<uint64_t> before = KnnCounts(**set);
-    QueryResponse<2> got = router.Execute(QueryRequest<2>::Knn(q, 1));
-    ASSERT_TRUE(got.ok()) << got.status.ToString();
-    const std::vector<uint64_t> after = KnnCounts(**set);
-    for (uint32_t s = 0; s < extents.size(); ++s) {
-      EXPECT_EQ(after[s] - before[s], s == target ? 1u : 0u) << "shard " << s;
-    }
+    const Rect<2> window = Box(q, 0.02);
+    const QueryRequest<2> reads[] = {
+        QueryRequest<2>::Knn(q, 3),
+        QueryRequest<2>::TopK(q, 3),
+        QueryRequest<2>::ApproxKnn(q, 3, 0.5),
+        QueryRequest<2>::ConstrainedKnn(q, window, 3),
+        QueryRequest<2>::Range(window),
+        QueryRequest<2>::NnSkyline({q}),
+    };
+    for (const QueryRequest<2>& read : reads) {
+      SCOPED_TRACE("target shard " + std::to_string(target) + " " +
+                   QueryKindName(read.kind));
+      const std::vector<uint64_t> before = KindCounts(**set, read.kind);
+      QueryResponse<2> got = router.Execute(read);
+      ASSERT_TRUE(got.ok()) << got.status.ToString();
+      const std::vector<uint64_t> after = KindCounts(**set, read.kind);
+      const bool every_shard = read.kind == QueryKind::kNnSkyline;
+      for (uint32_t s = 0; s < extents.size(); ++s) {
+        EXPECT_EQ(after[s] - before[s], every_shard || s == target ? 1u : 0u)
+            << "shard " << s;
+      }
 
-    KnnOptions knn;
-    knn.k = 1;
-    auto want = KnnSearch<2>(reference->tree(), q, knn, nullptr);
-    ASSERT_TRUE(want.ok());
-    ExpectByteIdentical(got.neighbors, Normalized(*want));
+      const std::vector<Neighbor> nearest = BruteForceKnn(data, q, 3);
+      switch (read.kind) {
+        case QueryKind::kKnn:
+        case QueryKind::kTopK:
+          ExpectByteIdentical(got.neighbors, nearest);
+          break;
+        case QueryKind::kApproxKnn:
+          ASSERT_EQ(got.neighbors.size(), nearest.size());
+          for (size_t i = 0; i < nearest.size(); ++i) {
+            EXPECT_LE(got.neighbors[i].dist_sq,
+                      nearest[i].dist_sq * 1.5 * 1.5 * (1.0 + 1e-9));
+          }
+          break;
+        case QueryKind::kConstrainedKnn: {
+          KnnOptions knn;
+          knn.k = 3;
+          auto want = ConstrainedKnnSearch<2>(reference->tree(), q, window,
+                                              knn, nullptr);
+          ASSERT_TRUE(want.ok());
+          ExpectByteIdentical(got.neighbors, Normalized(*want));
+          break;
+        }
+        case QueryKind::kRange: {
+          std::vector<Entry<2>> want;
+          ASSERT_TRUE(reference->tree().Search(window, &want).ok());
+          ExpectEntriesByteIdentical(got.entries, want);
+          break;
+        }
+        default:
+          break;
+      }
+    }
   }
-  EXPECT_NE(router.ScrapeMetrics().find("spatial_router_shards_pruned_total " +
-                                        std::to_string(3 * extents.size())),
+  const std::string scrape = router.ScrapeMetrics();
+  const uint64_t pruned = 3 * extents.size();
+  for (QueryKind kind : {QueryKind::kKnn, QueryKind::kTopK,
+                         QueryKind::kApproxKnn, QueryKind::kConstrainedKnn,
+                         QueryKind::kRange}) {
+    EXPECT_NE(scrape.find(PrunedSample(kind, pruned)), std::string::npos)
+        << QueryKindName(kind);
+  }
+  EXPECT_NE(scrape.find(PrunedSample(QueryKind::kNnSkyline, 0)),
             std::string::npos);
 }
 
@@ -351,25 +383,138 @@ TEST(ShardRouterTest, TiedExtentAtKthDistanceStillRuns) {
   ASSERT_EQ(want.size(), 1u);
   ASSERT_EQ(want[0].id, kRightTied);
 
-  for (bool stream : {true, false}) {
-    SCOPED_TRACE("stream=" + std::to_string(stream));
-    auto set = ShardSet<2>::Build(data, SetOptions(2, false, ""));
-    ASSERT_TRUE(set.ok()) << set.status().ToString();
-    const std::vector<Rect<2>> extents = (*set)->extents();
-    ASSERT_EQ(extents[0].hi[0], 0.25);
-    ASSERT_EQ(extents[1].lo[0], 0.75);
-    ASSERT_EQ(MinDistSq<2>(q, extents[0]), MinDistSq<2>(q, extents[1]));
+  auto set = ShardSet<2>::Build(data, SetOptions(2, false, ""));
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  const std::vector<Rect<2>> extents = (*set)->extents();
+  ASSERT_EQ(extents[0].hi[0], 0.25);
+  ASSERT_EQ(extents[1].lo[0], 0.75);
+  ASSERT_EQ(MinDistSq<2>(q, extents[0]), MinDistSq<2>(q, extents[1]));
+  ShardRouter<2> router(set->get());
 
-    ShardRouter<2>::Options options;
-    options.stream_bound = stream;
-    ShardRouter<2> router(set->get(), options);
-    const std::vector<uint64_t> before = KnnCounts(**set);
-    QueryResponse<2> got = router.Execute(QueryRequest<2>::Knn(q, 1));
+  // Every kind S3 prunes, at k = 1: approximate kNN at epsilon 0 (its
+  // route, with an exact answer to compare against) and constrained kNN
+  // over a region that meets both extents.
+  const QueryRequest<2> reads[] = {
+      QueryRequest<2>::Knn(q, 1),
+      QueryRequest<2>::TopK(q, 1),
+      QueryRequest<2>::ApproxKnn(q, 1, 0.0),
+      QueryRequest<2>::ConstrainedKnn(q, Box(q, 0.5), 1),
+  };
+  for (const QueryRequest<2>& read : reads) {
+    SCOPED_TRACE(QueryKindName(read.kind));
+    const std::vector<uint64_t> before = KindCounts(**set, read.kind);
+    QueryResponse<2> got = router.Execute(read);
     ASSERT_TRUE(got.ok()) << got.status.ToString();
     ExpectByteIdentical(got.neighbors, want);
-    const std::vector<uint64_t> after = KnnCounts(**set);
+    const std::vector<uint64_t> after = KindCounts(**set, read.kind);
     EXPECT_EQ(after[0] - before[0], 1u);
     EXPECT_EQ(after[1] - before[1], 1u);
+  }
+}
+
+TEST(ShardRouterTest, ConstrainedKnnKeysShardsByTheWholeExtent) {
+  // Two shards split by MBR centre x. q = (0, 0.5); the region is x >= 0.5.
+  // Shard 1 holds segment B from (0.3, 0.5) to (0.9, 0.5), which crosses
+  // the region's edge toward q, so its extent reaches back to x = 0.3 and
+  // overlaps shard 0's, which segment A from (0.1, 0.9) to (0.6, 0.9)
+  // stretches to x = 0.6. Shard 0 runs first, and A is the only object of
+  // it that meets the region: its k-th dist^2 is 0.17. B, at 0.09, is the
+  // answer. Keyed by its whole extent (0.09) shard 1 runs; keyed by
+  // extent ∩ region (0.25 > 0.17) it would be pruned and A returned.
+  constexpr uint64_t kA = 500;
+  constexpr uint64_t kB = 501;
+  Rng rng(12);
+  std::vector<Entry<2>> data;
+  for (uint64_t i = 0; i < 100; ++i) {
+    data.push_back({Rect<2>::FromPoint(
+                        {{rng.Uniform(0.0, 0.2), rng.Uniform(0.0, 1.0)}}),
+                    2 * i});
+    data.push_back({Rect<2>::FromPoint(
+                        {{rng.Uniform(0.8, 1.0), rng.Uniform(0.0, 1.0)}}),
+                    2 * i + 1});
+  }
+  data.push_back({Rect<2>::FromCorners({{0.1, 0.9}}, {{0.6, 0.9}}), kA});
+  data.push_back({Rect<2>::FromCorners({{0.3, 0.5}}, {{0.9, 0.5}}), kB});
+  auto reference = MakeReference(data);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  auto set = ShardSet<2>::Build(data, SetOptions(2, false, ""));
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ShardRouter<2> router(set->get());
+
+  const Point2 q{{0.0, 0.5}};
+  const Rect<2> region = Rect<2>::FromCorners({{0.5, 0.0}}, {{1.0, 1.0}});
+  const std::vector<Rect<2>> extents = (*set)->extents();
+  ASSERT_EQ(extents[0].hi[0], 0.6);
+  ASSERT_EQ(extents[1].lo[0], 0.3);
+  ASSERT_LT(MinDistSq<2>(q, extents[0]), MinDistSq<2>(q, extents[1]));
+  const double first_kth = ObjectDistSq<2>(q, data[200].mbr);  // A
+  ASSERT_LE(MinDistSq<2>(q, extents[1]), first_kth);
+  ASSERT_GT(MinDistSq<2>(q, Rect<2>::Intersection(extents[1], region)),
+            first_kth);
+
+  KnnOptions knn;
+  knn.k = 1;
+  auto want =
+      ConstrainedKnnSearch<2>(reference->tree(), q, region, knn, nullptr);
+  ASSERT_TRUE(want.ok());
+  ASSERT_EQ(want->size(), 1u);
+  ASSERT_EQ((*want)[0].id, kB);
+
+  const std::vector<uint64_t> before =
+      KindCounts(**set, QueryKind::kConstrainedKnn);
+  QueryResponse<2> got =
+      router.Execute(QueryRequest<2>::ConstrainedKnn(q, region, 1));
+  ASSERT_TRUE(got.ok()) << got.status.ToString();
+  ExpectByteIdentical(got.neighbors, *want);
+  EXPECT_EQ(ShardsRun(before, KindCounts(**set, QueryKind::kConstrainedKnn)),
+            2u);
+}
+
+TEST(ShardRouterTest, RangeVisitsOnlyExtentsThatMeetTheWindow) {
+  const auto data = MakeData(3000);
+  auto reference = MakeReference(data);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  auto set = ShardSet<2>::Build(data, SetOptions(4, false, ""));
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ShardRouter<2> router(set->get());
+  const std::vector<Rect<2>> extents = (*set)->extents();
+
+  // A window that meets no extent, and the empty window: shard 0 alone
+  // validates the request and answers, empty.
+  const Rect<2> nowhere = Rect<2>::FromCorners({{5.0, 5.0}}, {{6.0, 6.0}});
+  for (const Rect<2>& window : {nowhere, Rect<2>::Empty()}) {
+    const std::vector<uint64_t> before = KindCounts(**set, QueryKind::kRange);
+    QueryResponse<2> got = router.Execute(QueryRequest<2>::Range(window));
+    ASSERT_TRUE(got.ok()) << got.status.ToString();
+    EXPECT_TRUE(got.entries.empty());
+    const std::vector<uint64_t> after = KindCounts(**set, QueryKind::kRange);
+    for (uint32_t s = 0; s < extents.size(); ++s) {
+      EXPECT_EQ(after[s] - before[s], s == 0 ? 1u : 0u) << "shard " << s;
+    }
+  }
+
+  // A window touching the right-most extent only along its right edge
+  // (closed intervals) still visits that shard, and finds the object that
+  // defines the edge.
+  uint32_t right = 0;
+  for (uint32_t s = 1; s < extents.size(); ++s) {
+    if (extents[s].hi[0] > extents[right].hi[0]) right = s;
+  }
+  const Rect<2>& e = extents[right];
+  const Rect<2> edge{{{e.hi[0], e.lo[1]}}, {{e.hi[0] + 1.0, e.hi[1]}}};
+  for (uint32_t s = 0; s < extents.size(); ++s) {
+    ASSERT_EQ(extents[s].Intersects(edge), s == right) << "shard " << s;
+  }
+  const std::vector<uint64_t> before = KindCounts(**set, QueryKind::kRange);
+  QueryResponse<2> got = router.Execute(QueryRequest<2>::Range(edge));
+  ASSERT_TRUE(got.ok()) << got.status.ToString();
+  std::vector<Entry<2>> want;
+  ASSERT_TRUE(reference->tree().Search(edge, &want).ok());
+  ASSERT_FALSE(want.empty());
+  ExpectEntriesByteIdentical(got.entries, want);
+  const std::vector<uint64_t> after = KindCounts(**set, QueryKind::kRange);
+  for (uint32_t s = 0; s < extents.size(); ++s) {
+    EXPECT_EQ(after[s] - before[s], s == right ? 1u : 0u) << "shard " << s;
   }
 }
 
@@ -389,31 +534,73 @@ TEST(ShardRouterTest, InsertsOutsideTilesStayReachable) {
   ASSERT_TRUE(set.ok()) << set.status().ToString();
   ShardRouter<2> router(set->get());
 
-  // Outside every tile, and in the gaps between two (or four) tiles.
+  // Outside every tile, and in the gaps between two (or four) tiles. Right
+  // after its ack, every read kind that prunes by extent finds the insert:
+  // the box around it holds no other object.
   const std::vector<Point2> inserts = {
       {{1.4, 0.5}}, {{-0.3, -0.2}}, {{0.5, 1.8}},
       {{0.5, 0.2}}, {{0.2, 0.5}},   {{0.5, 0.5}}};
   std::vector<Entry<2>> all = data;
   for (size_t i = 0; i < inserts.size(); ++i) {
-    const Entry<2> e{Rect<2>::FromPoint(inserts[i]), 1'000'000 + i};
+    const Point2& p = inserts[i];
+    const Entry<2> e{Rect<2>::FromPoint(p), 1'000'000 + i};
     QueryResponse<2> ins =
         router.Execute(QueryRequest<2>::Insert(e.mbr, e.id));
     ASSERT_TRUE(ins.ok()) << ins.status.ToString();
     all.push_back(e);
+
+    const Rect<2> box = Box(p, 0.01);
+    const QueryRequest<2> reads[] = {
+        QueryRequest<2>::Knn(p, 1),
+        QueryRequest<2>::TopK(p, 1),
+        QueryRequest<2>::ApproxKnn(p, 1, 0.5),
+        QueryRequest<2>::ConstrainedKnn(p, box, 1),
+        QueryRequest<2>::Range(box),
+    };
+    for (const QueryRequest<2>& read : reads) {
+      SCOPED_TRACE("insert " + std::to_string(i) + " " +
+                   QueryKindName(read.kind));
+      QueryResponse<2> got = router.Execute(read);
+      ASSERT_TRUE(got.ok()) << got.status.ToString();
+      if (read.kind == QueryKind::kRange) {
+        ASSERT_EQ(got.entries.size(), 1u);
+        EXPECT_EQ(got.entries[0].id, e.id);
+      } else {
+        ASSERT_EQ(got.neighbors.size(), 1u);
+        EXPECT_EQ(got.neighbors[0].id, e.id);
+        EXPECT_EQ(got.neighbors[0].dist_sq, 0.0);
+      }
+    }
   }
 
+  // Every exact kind at and near each insert matches brute force over the
+  // whole data set.
   auto check = [&] {
     for (const Point2& p : inserts) {
       const Point2 near_a{{p[0] + 0.01, p[1] + 0.01}};
       const Point2 near_b{{p[0] - 0.02, p[1]}};
       for (const Point2& q : {p, near_a, near_b}) {
+        const Rect<2> region = Box(q, 0.3);
         for (uint32_t k : {1u, 3u}) {
           SCOPED_TRACE("q=(" + std::to_string(q[0]) + "," +
                        std::to_string(q[1]) + ") k=" + std::to_string(k));
-          QueryResponse<2> got = router.Execute(QueryRequest<2>::Knn(q, k));
+          const std::vector<Neighbor> want = BruteForceKnn(all, q, k);
+          for (const QueryRequest<2>& read :
+               {QueryRequest<2>::Knn(q, k), QueryRequest<2>::TopK(q, k),
+                QueryRequest<2>::ApproxKnn(q, k, 0.0)}) {
+            QueryResponse<2> got = router.Execute(read);
+            ASSERT_TRUE(got.ok()) << got.status.ToString();
+            ExpectByteIdentical(got.neighbors, want);
+          }
+          QueryResponse<2> got = router.Execute(
+              QueryRequest<2>::ConstrainedKnn(q, region, k));
           ASSERT_TRUE(got.ok()) << got.status.ToString();
-          ExpectByteIdentical(got.neighbors, BruteForceKnn(all, q, k));
+          ExpectByteIdentical(
+              got.neighbors, BruteForceKnn(BruteForceRange(all, region), q, k));
         }
+        QueryResponse<2> got = router.Execute(QueryRequest<2>::Range(region));
+        ASSERT_TRUE(got.ok()) << got.status.ToString();
+        ExpectEntriesByteIdentical(got.entries, BruteForceRange(all, region));
       }
     }
   };

@@ -1,11 +1,11 @@
 // Concurrency stress for the scatter-gather path, built for TSan
-// (tools/tsan_check.sh): many threads drive one ShardRouter — kNN with the
-// shared prune bound streaming, ranges, batches — while another thread
-// scrapes the merged metrics document continuously. Every answer is
-// checked byte-identical against a single-tree reference, so a data race
-// that corrupts a bound or a merge shows up even without TSan. A second
-// case races inserts that grow the shard extents against kNN readers that
-// prune shards by those extents.
+// (tools/tsan_check.sh): many threads drive one ShardRouter — kNN, ranges,
+// batches — while another thread scrapes the merged metrics document
+// continuously. Every kNN answer is checked byte-identical against a
+// single-tree reference, so a data race that corrupts a plan or a merge
+// shows up even without TSan. A second case races inserts that grow the
+// shard extents against readers of every kind that prunes shards by those
+// extents: kNN, range, constrained kNN, top-k and approximate kNN.
 
 #include <gtest/gtest.h>
 
@@ -206,19 +206,36 @@ TEST(ShardStressTest, OutOfTileInsertsVisibleToKnnAfterAck) {
           std::this_thread::yield();
           continue;
         }
-        // k=1 at the newest acked site must find it.
+        // Every kind that prunes by extent finds the newest acked site:
+        // kNN, top-k and approximate kNN at k=1 on it, and a constrained
+        // kNN and a range over a box around it that holds no other object.
         const int newest = seen - 1;
-        QueryResponse<2> got =
-            router.Execute(QueryRequest<2>::Knn(sites[newest].mbr.lo, 1));
-        if (!got.ok() || got.neighbors.size() != 1 ||
-            got.neighbors[0].id != sites[newest].id ||
-            got.neighbors[0].dist_sq != 0.0) {
+        const Point2 site = sites[newest].mbr.lo;
+        const Rect<2> box = Rect<2>::FromCorners(
+            {{site[0] - 0.01, site[1] - 0.01}},
+            {{site[0] + 0.01, site[1] + 0.01}});
+        for (const QueryRequest<2>& read :
+             {QueryRequest<2>::Knn(site, 1), QueryRequest<2>::TopK(site, 1),
+              QueryRequest<2>::ApproxKnn(site, 1, 0.5),
+              QueryRequest<2>::ConstrainedKnn(site, box, 1)}) {
+          const QueryResponse<2> got = router.Execute(read);
+          if (!got.ok() || got.neighbors.size() != 1 ||
+              got.neighbors[0].id != sites[newest].id ||
+              got.neighbors[0].dist_sq != 0.0) {
+            failures.fetch_add(1);
+          }
+        }
+        const QueryResponse<2> range =
+            router.Execute(QueryRequest<2>::Range(box));
+        if (!range.ok() || range.entries.size() != 1 ||
+            range.entries[0].id != sites[newest].id) {
           failures.fetch_add(1);
         }
         // k=2 at an older site whose adjacent sites are both acked.
         if (seen < 3) continue;
         const int i = 1 + static_cast<int>(rng.NextBounded(seen - 2));
-        got = router.Execute(QueryRequest<2>::Knn(sites[i].mbr.lo, 2));
+        QueryResponse<2> got =
+            router.Execute(QueryRequest<2>::Knn(sites[i].mbr.lo, 2));
         if (!got.ok() || got.neighbors.size() != 2 ||
             std::memcmp(got.neighbors.data(), want[i].data(),
                         2 * sizeof(Neighbor)) != 0) {

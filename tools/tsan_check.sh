@@ -9,11 +9,11 @@
 # own threads across snapshot pins and reclaim_gen pool invalidation),
 # the router's own suite (routed writes and the extent growth that follows
 # each acked insert, racing the shard workers), the sharded
-# scatter-gather stress test (concurrent router calls with
-# shared prune-bound streaming + live metrics scraping, and out-of-tile
-# inserts growing shard extents under kNN readers, each router call
-# running one shard of every round inline while the others run on their
-# worker threads), the metrics scrape test (inline and queued reads mixed
+# scatter-gather stress test (concurrent router calls + live metrics
+# scraping, and out-of-tile inserts growing shard extents under range,
+# kNN, top-k, approximate and constrained kNN readers that prune shards
+# by those extents, each router call running one shard of every round
+# inline while the others run on their worker threads), the metrics scrape test (inline and queued reads mixed
 # under live scrapes), the advanced
 # query kinds' cross-shard merge paths (reverse-kNN verification rounds,
 # skyline re-merge, approx contract merge), the resident tier's
