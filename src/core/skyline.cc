@@ -52,6 +52,13 @@ Status NnSkylineImpl(const Access& access, const Point<D>* sources,
 
   GeoItem<D> item;
   while (browse.Next(&item)) {
+    if (!item.is_object && members.empty()) {
+      // Nothing can dominate yet, so a node descends untested. This also
+      // keeps the root's box (Rect::Empty(), which has no MINDIST) out of
+      // SkylineDistVector.
+      SPATIAL_RETURN_IF_ERROR(browse.Expand(item));
+      continue;
+    }
     // The popped box's per-source vector is staged at the tail of the
     // member pool; kept if the object is accepted, rolled back otherwise.
     const size_t off = dists.size();

@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -462,19 +463,35 @@ Result<std::string> DecodeAdminResponse(const uint8_t* data, size_t len) {
 
 namespace {
 
-Status WriteAll(int fd, const void* data, size_t len) {
-  const char* p = static_cast<const char*>(data);
-  while (len > 0) {
+// Writes every byte of iov[0..count) with one sendmsg when the socket
+// takes it all, so a frame's length prefix and payload leave together: on
+// a TCP_NODELAY socket two sends are two segments, and the header-only one
+// draws its own ACK. A partial write (a full send buffer, or a signal once
+// some bytes are out) resumes at the first unsent byte, even when that byte
+// lies inside the header. `iov` is consumed.
+Status WriteAll(int fd, iovec* iov, size_t count) {
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = count;
+  while (msg.msg_iovlen > 0) {
     // MSG_NOSIGNAL: a peer that closed mid-write yields EPIPE here instead
     // of delivering SIGPIPE to the whole process.
-    const ssize_t n = ::send(fd, p, len, MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::Internal(std::string("wire: write failed: ") +
                               std::strerror(errno));
     }
-    p += n;
-    len -= static_cast<size_t>(n);
+    size_t sent = static_cast<size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (sent > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
   }
   return Status::OK();
 }
@@ -510,10 +527,12 @@ Status SendFrame(int fd, const std::string& payload) {
   if (payload.size() > kMaxFrameBytes) {
     return Status::InvalidArgument("wire: frame exceeds kMaxFrameBytes");
   }
-  std::string header;
-  PutU32(&header, static_cast<uint32_t>(payload.size()));
-  SPATIAL_RETURN_IF_ERROR(WriteAll(fd, header.data(), header.size()));
-  return WriteAll(fd, payload.data(), payload.size());
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  uint8_t header[4];
+  for (int i = 0; i < 4; ++i) header[i] = static_cast<uint8_t>(len >> (8 * i));
+  iovec iov[2] = {{header, sizeof(header)},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  return WriteAll(fd, iov, 2);
 }
 
 Status RecvFrame(int fd, std::string* payload) {
@@ -544,7 +563,8 @@ Status SendHandshake(int fd, const WireHandshake& hs) {
   PutU32(&buf, hs.magic);
   PutU32(&buf, hs.version);
   PutU32(&buf, hs.dim);
-  return WriteAll(fd, buf.data(), buf.size());
+  iovec iov{buf.data(), buf.size()};
+  return WriteAll(fd, &iov, 1);
 }
 
 Result<WireHandshake> RecvHandshake(int fd) {

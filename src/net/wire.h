@@ -91,7 +91,8 @@ Result<QueryResponse<D>> DecodeResponse(const uint8_t* data, size_t len);
 // ---------------------------------------------------------------------------
 // Framed socket I/O (blocking, retrying on EINTR; used by both ends).
 
-// Writes the 4-byte length prefix and the payload.
+// Writes the 4-byte length prefix and the payload in one write call when
+// the socket takes them whole, so a small frame leaves as one segment.
 Status SendFrame(int fd, const std::string& payload);
 
 // Reads one complete frame payload into *payload. A clean peer close

@@ -1,10 +1,18 @@
 // The RPC front door end to end: a real TCP round trip must return exactly
 // what the router returns locally, handshake mismatches must be refused,
 // admission control must shed with kOverloaded at the pending budget,
-// max_requests must stop the server cleanly, and exited connection
-// threads must be joined while the server runs.
+// max_requests must stop the server cleanly, exited connection threads
+// must be joined while the server runs, and a frame must be served however
+// the client's writes split it.
 
 #include "net/server.h"
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +28,7 @@
 #include "data/dataset.h"
 #include "data/uniform.h"
 #include "net/client.h"
+#include "net/wire.h"
 #include "tests/test_util.h"
 
 namespace spatial {
@@ -215,6 +224,119 @@ TEST(RpcServerTest, ExitedHandlerThreadsAreJoined) {
   (*server)->Stop();
   (*server)->WaitUntilStopped();
   EXPECT_EQ((*server)->requests_served(), 208u);
+}
+
+// A handshaken TCP connection whose bytes leave exactly as the test writes
+// them, one segment per send (TCP_NODELAY). Its receive timeout turns a
+// server that never answers into a failed read rather than a hung test.
+// -1 on failure.
+int ConnectRaw(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const int one = 1;
+  const timeval limit{5, 0};
+  WireHandshake ours;
+  ours.dim = 2;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0 ||
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit)) != 0 ||
+      !SendHandshake(fd, ours).ok() || !RecvHandshake(fd).ok()) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// The length prefix and the payload of `request`'s frame.
+std::string FrameBytes(const QueryRequest<2>& request) {
+  std::string payload;
+  EncodeRequest<2>(request, &payload);
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  std::string frame;
+  for (int i = 0; i < 4; ++i) {
+    frame.push_back(static_cast<char>(len >> (8 * i)));
+  }
+  return frame + payload;
+}
+
+void SendRaw(int fd, const std::string& bytes) {
+  ASSERT_EQ(static_cast<ssize_t>(bytes.size()),
+            ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL));
+}
+
+// Byte equality of two answer arrays. An empty vector's data() may be
+// null, which memcmp must not be given.
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+// Reads one answer from `fd` and checks it against RpcClient::Call's
+// answer to the same request.
+void ExpectSameAnswer(int fd, RpcClient<2>* client,
+                      const QueryRequest<2>& request) {
+  std::string payload;
+  ASSERT_TRUE(RecvFrame(fd, &payload).ok());
+  auto got = DecodeResponse<2>(reinterpret_cast<const uint8_t*>(payload.data()),
+                               payload.size());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  auto want = client->Call(request);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got->status.ok()) << got->status.ToString();
+  ASSERT_TRUE(want->status.ok()) << want->status.ToString();
+  EXPECT_TRUE(SameBytes(got->neighbors, want->neighbors));
+  EXPECT_TRUE(SameBytes(got->entries, want->entries));
+  EXPECT_EQ(0, std::memcmp(&got->stats, &want->stats, sizeof(QueryStats)));
+}
+
+TEST(RpcServerTest, ServesFramesSplitAcrossWrites) {
+  // SendFrame writes a frame whole, so no in-tree client splits one. Other
+  // clients may: the server must reassemble a header that arrives in
+  // pieces, a payload that trails its header, and two frames in one read.
+  Fixture fx;
+  auto server = RpcServer<2>::Start(fx.router.get(), {});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = RpcClient<2>::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const int fd = ConnectRaw((*server)->port());
+  ASSERT_GE(fd, 0);
+  const auto pause = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+
+  // The header as 1 + 3 bytes, then the payload.
+  const QueryRequest<2> knn = QueryRequest<2>::Knn({{0.3, 0.6}}, 5);
+  std::string frame = FrameBytes(knn);
+  SendRaw(fd, frame.substr(0, 1));
+  pause();
+  SendRaw(fd, frame.substr(1, 3));
+  pause();
+  SendRaw(fd, frame.substr(4));
+  ExpectSameAnswer(fd, client->get(), knn);
+
+  // The header, then the payload 1 ms later.
+  const QueryRequest<2> range = QueryRequest<2>::Range(
+      Rect<2>::FromCorners({{0.1, 0.2}}, {{0.5, 0.4}}));
+  frame = FrameBytes(range);
+  SendRaw(fd, frame.substr(0, 4));
+  pause();
+  SendRaw(fd, frame.substr(4));
+  ExpectSameAnswer(fd, client->get(), range);
+
+  // Two whole frames in one write: two answers, in order.
+  const QueryRequest<2> first = QueryRequest<2>::Knn({{0.9, 0.1}}, 3);
+  const QueryRequest<2> second = QueryRequest<2>::Knn({{0.2, 0.8}}, 8);
+  SendRaw(fd, FrameBytes(first) + FrameBytes(second));
+  ExpectSameAnswer(fd, client->get(), first);
+  ExpectSameAnswer(fd, client->get(), second);
+  ::close(fd);
 }
 
 }  // namespace

@@ -1,15 +1,19 @@
 // The binary wire protocol: every request and response field must survive
 // an encode/decode round trip bit-exactly, malformed frames must be
 // rejected without reading out of bounds, and the framed socket I/O must
-// move payloads intact.
+// move payloads intact, each frame in one write call.
 
 #include "net/wire.h"
 
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -534,6 +538,103 @@ TEST(WireTest, DeclaredFrameLengthIsNotReservedUpFront) {
   EXPECT_TRUE(RecvFrame(fds[1], &got).IsCorruption());
   EXPECT_LT(got.capacity(), size_t{1} << 20);
   ::close(fds[1]);
+}
+
+// The bytes of the first write call SendFrame makes for `payload`: on a
+// SOCK_SEQPACKET pair one recv returns exactly one write's record.
+std::string FirstWrite(const std::string& payload) {
+  int fds[2];
+  EXPECT_EQ(0, ::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, fds));
+  EXPECT_TRUE(SendFrame(fds[0], payload).ok());
+  std::string got(payload.size() + 64, '\0');
+  const ssize_t n = ::recv(fds[1], got.data(), got.size(), 0);
+  EXPECT_GE(n, 0);
+  got.resize(n < 0 ? 0 : static_cast<size_t>(n));
+  ::close(fds[0]);
+  ::close(fds[1]);
+  return got;
+}
+
+TEST(WireTest, FrameLeavesInOneWrite) {
+  // A frame written as a bare header and then a payload leaves a
+  // TCP_NODELAY socket as two segments. The length prefix and the payload
+  // must go out in one write call, for every frame kind.
+  std::string request;
+  EncodeRequest<2>(QueryRequest<2>::Knn({{0.5, 0.25}}, 3), &request);
+  QueryResponse<2> answer;
+  answer.neighbors = {Neighbor{7, 0.5}, Neighbor{9, 1.25}};
+  answer.stats.nodes_visited = 4;
+  std::string response;
+  EncodeResponse<2>(answer, &response);
+  std::string admin;
+  EncodeAdminRequest(AdminKind::kScrapeMetrics, &admin);
+  std::string admin_reply;
+  EncodeAdminResponse(Status::OK(), "spatial_rpc_requests_total 1\n",
+                      &admin_reply);
+  for (const std::string* payload :
+       {&request, &response, &admin, &admin_reply}) {
+    const std::string got = FirstWrite(*payload);
+    ASSERT_EQ(got.size(), 4 + payload->size());
+    uint32_t len = 0;
+    for (int i = 0; i < 4; ++i) {
+      len |= static_cast<uint32_t>(static_cast<uint8_t>(got[i])) << (8 * i);
+    }
+    EXPECT_EQ(len, payload->size());
+    EXPECT_EQ(got.substr(4), *payload);
+  }
+}
+
+std::atomic<int> g_interrupts{0};
+void CountInterrupt(int) {
+  g_interrupts.fetch_add(1, std::memory_order_relaxed);
+}
+
+TEST(WireTest, InterruptedLargeWriteResumes) {
+  // The handler is installed without SA_RESTART, so a signal that lands
+  // while the writer is blocked on a full socket buffer ends its write
+  // early: a short count once some bytes are out, EINTR before the first.
+  // SendFrame must resume at the first unsent byte.
+  int fds[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds));
+  struct sigaction action;
+  struct sigaction previous;
+  std::memset(&action, 0, sizeof(action));
+  action.sa_handler = CountInterrupt;
+  sigemptyset(&action.sa_mask);
+  ASSERT_EQ(0, ::sigaction(SIGUSR1, &action, &previous));
+  g_interrupts.store(0);
+
+  std::string sent(6 << 20, '\0');
+  for (size_t i = 0; i < sent.size(); ++i) {
+    sent[i] = static_cast<char>((i * 131 + i / 4099) % 251);
+  }
+  std::atomic<bool> done{false};
+  Status status;
+  std::thread writer([&] {
+    status = SendFrame(fds[0], sent);
+    done.store(true);
+  });
+  // Signal the writer until its frame is out: first while nothing reads,
+  // so it blocks on the full buffer, then throughout the drain.
+  std::thread signaller([&] {
+    while (!done.load()) {
+      ::pthread_kill(writer.native_handle(), SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(done.load());
+  std::string got;
+  const Status received = RecvFrame(fds[1], &got);
+  ::close(fds[1]);  // a failed read must not leave the writer blocked
+  signaller.join();
+  writer.join();
+  ::close(fds[0]);
+  ASSERT_EQ(0, ::sigaction(SIGUSR1, &previous, nullptr));
+  ASSERT_TRUE(received.ok()) << received.ToString();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_GT(g_interrupts.load(), 0);
+  EXPECT_TRUE(got == sent) << "got " << got.size() << " bytes";
 }
 
 }  // namespace

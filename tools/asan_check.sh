@@ -17,7 +17,10 @@
 # rtree_search_test the R-tree's window walk and its pending-child stack.
 # query_service_test and service_stress_test drive the service's inline
 # path, which lends a worker's scratch arenas and buffer pool to caller
-# threads and returns answers by value.
+# threads and returns answers by value. net_server_test drives the framed
+# socket I/O of a live connection: SendFrame's two-entry iovec on both
+# ends, and the server's reads of frames that arrive split across the
+# client's writes (net_wire_test resumes a large write cut by signals).
 #
 # Usage: tools/asan_check.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -30,7 +33,8 @@ TESTS=(metrics_test metrics_reference_test simd_kernel_test knn_test
        resident_tree_test advanced_query_test constrained_test
        net_wire_test best_first_test batch_knn_test incremental_test
        group_knn_test shard_router_test advanced_shard_test
-       rtree_search_test query_service_test service_stress_test)
+       rtree_search_test query_service_test service_stress_test
+       net_server_test)
 
 cmake -B "$BUILD_DIR" -S . -DSPATIAL_SANITIZE=address+undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo

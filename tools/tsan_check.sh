@@ -19,7 +19,9 @@
 # skyline re-merge, approx contract merge), the resident tier's
 # publish/invalidate/recompile-under-write-load race coverage, and the
 # distributed-trace test (sampled scatter-gather over RPC with concurrent
-# remote admin scrapes against the live trace log).
+# remote admin scrapes against the live trace log), and the RPC server's
+# own suite (the accept loop reaping exited handler threads, and handler
+# threads serving concurrent clients under the pending budget).
 #
 # Usage: tools/tsan_check.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -33,12 +35,13 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target query_service_test service_stress_test serving_stress_test \
   io_stats_test obs_metrics_test metrics_scrape_test shard_router_test \
   shard_stress_test resident_tree_test advanced_shard_test \
-  distributed_trace_test
+  distributed_trace_test net_server_test
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 for t in io_stats_test obs_metrics_test query_service_test \
          service_stress_test shard_router_test shard_stress_test \
-         resident_tree_test advanced_shard_test distributed_trace_test; do
+         resident_tree_test advanced_shard_test distributed_trace_test \
+         net_server_test; do
   echo "=== TSan: $t ==="
   "$BUILD_DIR/tests/$t"
 done
